@@ -8,8 +8,6 @@ from .numerics import (
     Var,
     horner_eval,
     integrate_over_lambda,
-    pi_rational_arith,
-    to_ext_real,
 )
 from .spline import (
     EndpointData,

@@ -23,8 +23,8 @@ from .bounds import (
     taylor_sine,
     zhu_bound,
 )
-from .numerics import DEFAULT_DIGITS, ExtReal, Poly, digits_for_bound
-from .series import sine_series_eval
+from .numerics import DEFAULT_DIGITS, ExtReal, Poly, digits_for_bound, horner_eval
+from .series import sine_series
 
 DEFAULT_SAMPLES = 1000
 
@@ -186,7 +186,6 @@ def scale_check(f0_form: BoundFn, grid: Grid, digits: int | None = None) -> dict
     t_poly = f0_form.body.substitute_affine(
         PiRational.zero(), HALF_PI, variable=Var.T_ON_0_1
     )
-    t_form = BoundFn(f0_form.family, f0_form.order, f0_form.direction, "sin", t_poly)
     reference = reference_for("sin")
     max_dev = mp.mpf(0)
     with mp.workdps(digits + 10):
@@ -197,7 +196,7 @@ def scale_check(f0_form: BoundFn, grid: Grid, digits: int | None = None) -> dict
             if t == 0:
                 re_t = re_x  # both use the same declared limit at 0
             else:
-                re_t = 1 - t_form.eval_raw(t, digits) / mp.sin(pi * t / 2)
+                re_t = 1 - horner_eval(t_poly, t, digits) / mp.sin(pi * t / 2)
             max_dev = max(max_dev, abs(re_x - re_t))
     return {
         "max_deviation": max_dev,
@@ -266,17 +265,21 @@ def matches_sig_figs(computed, expected, sig: int = 3) -> bool:
         )
 
 
+def _series_column(variant: str, n: int, xs, digits: int) -> list:
+    """|1 - series(x)/sin(x)| at each x, 0 at x = 0 where both series are
+    exact in the limit; the exact series is built once for the column."""
+    s = sine_series(variant, n)
+    with mp.workdps(digits + 10):
+        return [
+            abs(1 - s.eval(xv, digits, n) / mp.sin(xv)) if xv != 0 else mp.mpf(0)
+            for xv in xs
+        ]
+
+
 def _series_re_bound(variant: str, n: int, expected: float, samples: int) -> mp.mpf:
     digits = digits_for_bound(expected)
-    grid = half_pi_grid(samples, digits)
-    with mp.workdps(digits + 10):
-        best = mp.mpf(0)
-        for xv in grid.points(digits):
-            if xv == 0:
-                continue  # both series are exact at 0 in the x->0 limit
-            approx = sine_series_eval(variant, ExtReal(xv, digits), n).value
-            best = max(best, abs(1 - approx / mp.sin(xv)))
-        return best
+    xs = half_pi_grid(samples, digits).points(digits)
+    return max(_series_column(variant, n, xs, digits))
 
 
 def reproduce_table(table_id: str, samples: int = DEFAULT_SAMPLES) -> list[dict]:
@@ -373,10 +376,9 @@ def _curve_re(bound: BoundFn, grid: Grid, digits: int) -> list:
 
 def _curve_err(poly: Poly, grid: Grid, digits: int, sign: int = 1) -> list:
     """sign * (reference - poly) pointwise, for sin-target polynomials."""
-    b = BoundFn("tmp", 0, "approximation", "sin", poly)
     with mp.workdps(digits + 10):
         return [
-            sign * (mp.sin(xv) - b.eval_raw(xv, digits))
+            sign * (mp.sin(xv) - horner_eval(poly, xv, digits))
             for xv in grid.points(digits)
         ]
 
@@ -414,23 +416,11 @@ def figure_data(figure_id: str, grid: Grid | None = None) -> dict:
         for n in (1, 2, 3, 4):
             cols[f"err_spline_{n}"] = _curve_err(sine_lower(n).body, grid, digits)
     elif figure_id == "5":
-        with mp.workdps(digits + 10):
-            for n in range(1, 10):
-                cols[f"series1_{n}"] = [
-                    abs(1 - sine_series_eval("order1", ExtReal(xv, digits), n).value / mp.sin(xv))
-                    if xv != 0
-                    else mp.mpf(0)
-                    for xv in xs
-                ]
+        for n in range(1, 10):
+            cols[f"series1_{n}"] = _series_column("order1", n, xs, digits)
     elif figure_id == "6":
-        with mp.workdps(digits + 10):
-            for n in range(2, 10):
-                cols[f"series2_{n}"] = [
-                    abs(1 - sine_series_eval("order2", ExtReal(xv, digits), n).value / mp.sin(xv))
-                    if xv != 0
-                    else mp.mpf(0)
-                    for xv in xs
-                ]
+        for n in range(2, 10):
+            cols[f"series2_{n}"] = _series_column("order2", n, xs, digits)
     elif figure_id == "7":
         for n in (2, 3, 4):
             cols[f"err_upper_{n}"] = _curve_err(sine_upper(n).body, grid, digits, sign=-1)

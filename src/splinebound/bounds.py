@@ -13,7 +13,7 @@ from typing import Callable, Optional, Union
 
 import mpmath as mp
 
-from .numerics import ExtReal, PiRational, Poly, Var
+from .numerics import ExtReal, PiRational, Poly, Var, horner_eval
 from .series import order1_coefficients, order2_coefficients
 from .spline import reflect_half_pi, sine_spline
 
@@ -40,19 +40,10 @@ class BoundFn:
 
     def eval_raw(self, x, digits: int):
         """Body value at mpf x, computed at `digits` working digits."""
+        if isinstance(self.body, Poly):
+            return horner_eval(self.body, x, digits)
         with mp.workdps(digits + 10):
-            x = mp.mpf(x)
-            if isinstance(self.body, Poly):
-                acc = mp.mpf(0)
-                for c in reversed(self.body.coefficients):
-                    cv = (
-                        c.to_ext_real(digits).value
-                        if isinstance(c, PiRational)
-                        else c.value
-                    )
-                    acc = acc * x + cv
-                return acc
-            return self.body(x, digits)
+            return self.body(mp.mpf(x), digits)
 
     def eval(self, x: ExtReal) -> ExtReal:
         return ExtReal(self.eval_raw(x.value, x.digits), x.digits)
@@ -61,15 +52,11 @@ class BoundFn:
         """lim body(x)/target(x) as x -> 0+, for removable singularities."""
         if self.zero_ratio is not None:
             return self.zero_ratio(digits)
-        with mp.workdps(digits + 10):
-            if self.target in ("sin", "si"):
-                # target ~ x at 0; polynomial bodies here have zero constant term
-                c = self.body.coeff(1)
-                return (
-                    c.to_ext_real(digits).value if isinstance(c, PiRational) else c.value
-                )
-            # cos(0) = 1 and sinc(0) = 1: plain evaluation works
-            return self.eval_raw(mp.mpf(0), digits)
+        if self.target in ("sin", "si"):
+            # target ~ x at 0; polynomial bodies here have zero constant term
+            return self.body.coeff(1).to_ext_real(digits).value
+        # cos(0) = 1 and sinc(0) = 1: plain evaluation works
+        return self.eval_raw(0, digits)
 
     def ratio_at_half_pi(self, digits: int):
         """lim body(x)/cos(x) as x -> pi/2-, for cos bounds vanishing there.
@@ -79,39 +66,19 @@ class BoundFn:
         """
         if self.target != "cos" or not isinstance(self.body, Poly):
             raise ValueError("half-pi ratio applies to polynomial cos bounds")
-        d = self.body.derivative()
         with mp.workdps(digits + 10):
-            x = mp.pi / 2
-            acc = mp.mpf(0)
-            for c in reversed(d.coefficients):
-                cv = c.to_ext_real(digits).value if isinstance(c, PiRational) else c.value
-                acc = acc * x + cv
-            return -acc
+            return -horner_eval(self.body.derivative(), mp.pi / 2, digits)
 
     def as_sinc(self) -> "BoundFn":
         """Expose a sin-target polynomial bound in sin(x)/x form."""
         if self.target != "sin" or not isinstance(self.body, Poly):
             raise ValueError("as_sinc applies to polynomial sin bounds")
-        poly = self.body
 
         def body(x, digits):
+            if x == 0:
+                return self.ratio_at_zero(digits)
             with mp.workdps(digits + 10):
-                if x == 0:
-                    c = poly.coeff(1)
-                    return (
-                        c.to_ext_real(digits).value
-                        if isinstance(c, PiRational)
-                        else c.value
-                    )
-                acc = mp.mpf(0)
-                for c in reversed(poly.coefficients):
-                    cv = (
-                        c.to_ext_real(digits).value
-                        if isinstance(c, PiRational)
-                        else c.value
-                    )
-                    acc = acc * x + cv
-                return acc / x
+                return self.eval_raw(x, digits) / x
 
         return BoundFn(self.family, self.order, self.direction, "sinc", body)
 
@@ -129,9 +96,7 @@ class BoundFn:
                 for c in self.body.coefficients
             ]
             out["coefficients_decimal"] = [
-                (
-                    c.to_ext_real(digits) if isinstance(c, PiRational) else c
-                ).to_decimal_string(digits)
+                c.to_ext_real(digits).to_decimal_string(digits)
                 for c in self.body.coefficients
             ]
         return out

@@ -251,10 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-point spline approximants and certified bounds for "
         "sin, sin(x)/x, cos and Si on [0, pi/2].",
     )
-    default_precision = int(os.environ.get("SPLINEBOUND_PRECISION", DEFAULT_DIGITS))
+    # argparse converts a string default with `type`, so a malformed
+    # SPLINEBOUND_PRECISION is a usage error like a malformed --precision
     parser.add_argument(
-        "--precision", type=int, default=default_precision,
-        help="working precision in significant decimal digits (min 10)",
+        "--precision", type=int,
+        default=os.environ.get("SPLINEBOUND_PRECISION", DEFAULT_DIGITS),
+        help="working precision in significant decimal digits (min 10; "
+        "default $SPLINEBOUND_PRECISION, else 50)",
     )
     parser.add_argument("--samples", type=int, default=analysis.DEFAULT_SAMPLES)
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")

@@ -269,6 +269,10 @@ class ExtReal:
     def __repr__(self):
         return f"ExtReal({mp.nstr(self.value, min(self.digits, 20))}, digits={self.digits})"
 
+    def to_ext_real(self, digits: int) -> "ExtReal":
+        """This value itself, unrounded: it already carries its own context."""
+        return self
+
     def to_decimal_string(self, digits: int | None = None) -> str:
         d = digits or self.digits
         with mp.workdps(d + 5):
@@ -412,34 +416,17 @@ def _is_zero(c: Coeff) -> bool:
     return c == 0
 
 
-def pi_rational_arith(a: PiRational, b: PiRational, op: str) -> PiRational:
-    """Named entry point for exact scalar arithmetic: op in {add, sub, mul}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
+def horner_eval(p: Poly, x, digits: int) -> mp.mpf:
+    """Nested-multiplication value of p at x, computed at `digits` working digits.
 
-
-def to_ext_real(a: PiRational, digits: int) -> ExtReal:
-    return a.to_ext_real(digits)
-
-
-def horner_eval(p: Poly, x: ExtReal) -> ExtReal:
-    """Nested-multiplication evaluation at x's precision context.
-
-    PiRational coefficients are converted at that context first.
+    Each coefficient is read at that context through its `to_ext_real`.
     """
-    digits = x.digits
     with mp.workdps(digits + 10):
-        xv = x.value
+        x = mp.mpf(x)
         acc = mp.mpf(0)
         for c in reversed(p.coefficients):
-            cv = c.to_ext_real(digits).value if isinstance(c, PiRational) else c.value
-            acc = acc * xv + cv
-        return ExtReal(acc, digits)
+            acc = acc * x + c.to_ext_real(digits).value
+        return acc
 
 
 def integrate_over_lambda(p: Poly) -> Poly:

@@ -22,21 +22,24 @@ _ORDER1_START = 2
 _ORDER2_START = 3
 
 
+def _pair_exponent(order: int, k: int) -> int:
+    """Exponent of (1-t) in term k of an order-1 or order-2 series, error
+    series and sine series alike: it alternates in pairs of k."""
+    return order + 1 if (k - order) % 4 in (0, 1) else order + 2
+
+
 def exponent_rule(spline_order: int, k: int) -> int:
     """Exponent p(k) of the (1-t) factor in the error series term k.
 
     Order 1: p=2 for k in {2,5,6,9,10,...}, p=3 for k in {3,4,7,8,...}.
     Order 2: p=3 for k in {3,6,7,10,11,...}, p=4 for k in {4,5,8,9,...}.
     """
-    if spline_order == 1:
-        if k < _ORDER1_START:
-            raise ValueError("order-1 series starts at k=2")
-        return 2 if k % 4 in (1, 2) else 3
-    if spline_order == 2:
-        if k < _ORDER2_START:
-            raise ValueError("order-2 series starts at k=3")
-        return 3 if k % 4 in (2, 3) else 4
-    raise ValueError("spline_order must be 1 or 2")
+    if spline_order not in (1, 2):
+        raise ValueError("spline_order must be 1 or 2")
+    start = _ORDER1_START if spline_order == 1 else _ORDER2_START
+    if k < start:
+        raise ValueError(f"order-{spline_order} series starts at k={start}")
+    return _pair_exponent(spline_order, k)
 
 
 def _pi_power_term(k: int) -> PiRational:
@@ -165,16 +168,6 @@ ORDER2_SERIES_HEAD = (
 )
 
 
-def _series1_exponent(k: int) -> int:
-    # p=2 for k in {1,2,5,6,9,10,...}; p=3 for k in {3,4,7,8,...}
-    return 2 if k % 4 in (1, 2) else 3
-
-
-def _series2_exponent(k: int) -> int:
-    # p=3 for k in {2,3,6,7,...}; p=4 for k in {0,1,4,5,...}
-    return 3 if k % 4 in (2, 3) else 4
-
-
 @dataclass(frozen=True)
 class SineSeries:
     """Convergent series for sin(x) on [0, pi/2] built from an error series.
@@ -198,7 +191,27 @@ class SineSeries:
         return ORDER2_SERIES_HEAD[k] if k <= 2 else self.coeffs[k]
 
     def exponent(self, k: int) -> int:
-        return _series1_exponent(k) if self.variant == "order1" else _series2_exponent(k)
+        return _pair_exponent(1 if self.variant == "order1" else 2, k)
+
+    def eval(self, x, digits: int, n_terms: int) -> mp.mpf:
+        """Head terms plus series terms k <= n_terms at mpf x in [0, pi/2],
+        computed at `digits` working digits."""
+        with mp.workdps(digits + 10):
+            pi = mp.pi
+            if x < 0 or x > pi / 2:
+                raise ValueError("x must lie in [0, pi/2]")
+            t = 2 * x / pi
+            u = 1 - t
+            if self.variant == "order1":
+                acc = t + t * u
+                k0 = 1
+            else:
+                acc = 1 - pi**2 / 8 * u**2
+                k0 = 0
+            for k in range(k0, n_terms + 1):
+                ck = self.term_coefficient(k).to_ext_real(digits).value
+                acc += ck * t**k * u ** self.exponent(k)
+            return acc
 
 
 def sine_series(variant: str, n_terms: int) -> SineSeries:
@@ -215,22 +228,5 @@ def sine_series_eval(variant: str, x: ExtReal, n_terms: int) -> ExtReal:
     The term count convention matches the published tables: n counts the
     upper summation index (k = 1..n for order 1, k = 0..n for order 2).
     """
-    digits = x.digits
     s = sine_series(variant, n_terms)
-    with mp.workdps(digits + 10):
-        pi = mp.pi
-        xv = x.value
-        if xv < 0 or xv > pi / 2:
-            raise ValueError("x must lie in [0, pi/2]")
-        t = 2 * xv / pi
-        u = 1 - t
-        if variant == "order1":
-            acc = t + t * u
-            k0 = 1
-        else:
-            acc = 1 - pi**2 / 8 * u**2
-            k0 = 0
-        for k in range(k0, n_terms + 1):
-            ck = s.term_coefficient(k).to_ext_real(digits).value
-            acc += ck * t**k * u ** s.exponent(k)
-        return ExtReal(acc, digits)
+    return ExtReal(s.eval(x.value, x.digits, n_terms), x.digits)

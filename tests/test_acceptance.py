@@ -138,7 +138,7 @@ def _suite_d():
                 approx = eval_error_series(
                     series, ExtReal(t, digits), 119 - series.start_index
                 )
-                truth = mp.sin(x.value) - horner_eval(spline, x).value
+                truth = mp.sin(x.value) - horner_eval(spline, x.value, x.digits)
                 if abs(approx.value - truth) >= mp.mpf(10) ** (-25):
                     return False
     return True

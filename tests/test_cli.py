@@ -147,6 +147,12 @@ class TestUsage:
         args = build_parser().parse_args(["gen", "sin", "1"])
         assert args.precision == 77
 
+    def test_malformed_env_precision_rejected(self, monkeypatch, capsys):
+        monkeypatch.setenv("SPLINEBOUND_PRECISION", "abc")
+        code, _, err = run_cli(capsys, "gen", "sin", "1")
+        assert code == EXIT_USAGE
+        assert "error:" in err and "precision" in err
+
 
 class TestEntryPoint:
     def test_installed_script(self):

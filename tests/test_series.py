@@ -14,6 +14,7 @@ from splinebound.series import (
     exponent_rule,
     order1_coefficients,
     order2_coefficients,
+    sine_series,
     sine_series_eval,
 )
 from splinebound.spline import HALF_PI, sine_spline
@@ -74,13 +75,20 @@ class TestExponentRule:
         assert all(exponent_rule(2, k) == 4 for k in fours)
 
     def test_floor_form_consistency(self):
-        # the pairwise-alternating pattern admits closed floor expressions
-        for k in range(2, 201):
+        # the pairwise-alternating pattern admits closed floor expressions;
+        # the sine series follow it from k = 1 (order 1) and k = 0 (order 2),
+        # below the error-series starts k = 2 and k = 3
+        s1, s2 = sine_series("order1", 2), sine_series("order2", 3)
+        for k in range(1, 201):
             expected = math.floor(5 / 2 + (-1) ** ((k + 1) // 2) / 2)
-            assert exponent_rule(1, k) == expected
-        for k in range(3, 201):
+            assert s1.exponent(k) == expected
+            if k >= 2:
+                assert exponent_rule(1, k) == expected
+        for k in range(0, 201):
             expected = math.floor(7 / 2 + (-1) ** (k // 2) / 2)
-            assert exponent_rule(2, k) == expected
+            assert s2.exponent(k) == expected
+            if k >= 3:
+                assert exponent_rule(2, k) == expected
 
     def test_below_start_rejected(self):
         with pytest.raises(ValueError):
@@ -164,7 +172,7 @@ class TestEvaluation:
                 t = mp.mpf(i) / 100
                 x = ExtReal(mp.pi * t / 2, digits)
                 approx = eval_error_series(series, ExtReal(t, digits), 119 - series.start_index)
-                truth = mp.sin(x.value) - horner_eval(spline, x).value
+                truth = mp.sin(x.value) - horner_eval(spline, x.value, x.digits)
                 worst = max(worst, abs(approx.value - truth))
             assert worst < mp.mpf(10) ** (-25)
 
