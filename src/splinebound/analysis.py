@@ -62,12 +62,17 @@ def half_pi_grid(count: int = DEFAULT_SAMPLES, digits: int = DEFAULT_DIGITS) -> 
 
 @dataclass(frozen=True)
 class RelErrReport:
+    """Scan result; `rounds` counts the scans made and `converged` says
+    whether the last one was at a precision able to resolve its bound."""
+
     bound_id: str
     grid: Grid
     re_values: tuple
     re_bound: mp.mpf
     argmax: mp.mpf
     digits: int
+    rounds: int
+    converged: bool
 
 
 # reference evaluators ------------------------------------------------------
@@ -127,15 +132,19 @@ def re_bound_scan(
     """Full relative-error report over the grid.
 
     The precision context is raised and the scan repeated until the measured
-    bound is well above rounding noise (re_bound >> 10^-digits).
+    bound is well above rounding noise (re_bound >> 10^-digits), for at most
+    `max_rounds` scans; the report says whether that happened.
     """
     digits = digits or max(grid.digits, DEFAULT_DIGITS)
-    for _ in range(max_rounds):
+    converged = False
+    for rounds in range(1, max_rounds + 1):
         values, best, arg = _scan_once(approx, reference, grid, digits)
         if best == 0:
+            converged = True
             break
         needed = digits_for_bound(float(best), floor=DEFAULT_DIGITS)
         if needed <= digits:
+            converged = True
             break
         digits = needed
     bound_id = f"{approx.family}:{approx.target}:{approx.direction}:{approx.order}"
@@ -146,6 +155,8 @@ def re_bound_scan(
         re_bound=best,
         argmax=arg,
         digits=digits,
+        rounds=rounds,
+        converged=converged,
     )
 
 
@@ -265,21 +276,28 @@ def matches_sig_figs(computed, expected, sig: int = 3) -> bool:
         )
 
 
-def _series_column(variant: str, n: int, xs, digits: int) -> list:
+def _sin_column(xs, digits: int) -> list:
+    """sin(x) at each x, computed once and shared by every curve of a figure."""
+    sin = reference_for("sin")
+    with mp.workdps(digits + 10):
+        return [sin(xv, digits) for xv in xs]
+
+
+def _series_column(variant: str, n: int, xs, sins, digits: int) -> list:
     """|1 - series(x)/sin(x)| at each x, 0 at x = 0 where both series are
     exact in the limit; the exact series is built once for the column."""
     s = sine_series(variant, n)
     with mp.workdps(digits + 10):
         return [
-            abs(1 - s.eval(xv, digits, n) / mp.sin(xv)) if xv != 0 else mp.mpf(0)
-            for xv in xs
+            abs(1 - s.eval(xv, digits, n) / sv) if xv != 0 else mp.mpf(0)
+            for xv, sv in zip(xs, sins)
         ]
 
 
 def _series_re_bound(variant: str, n: int, expected: float, samples: int) -> mp.mpf:
     digits = digits_for_bound(expected)
     xs = half_pi_grid(samples, digits).points(digits)
-    return max(_series_column(variant, n, xs, digits))
+    return max(_series_column(variant, n, xs, _sin_column(xs, digits), digits))
 
 
 def reproduce_table(table_id: str, samples: int = DEFAULT_SAMPLES) -> list[dict]:
@@ -374,12 +392,11 @@ def _curve_re(bound: BoundFn, grid: Grid, digits: int) -> list:
     ]
 
 
-def _curve_err(poly: Poly, grid: Grid, digits: int, sign: int = 1) -> list:
-    """sign * (reference - poly) pointwise, for sin-target polynomials."""
+def _curve_err(poly: Poly, xs, sins, digits: int, sign: int = 1) -> list:
+    """sign * (sin - poly) pointwise, for sin-target polynomials."""
     with mp.workdps(digits + 10):
         return [
-            sign * (mp.sin(xv) - horner_eval(poly, xv, digits))
-            for xv in grid.points(digits)
+            sign * (sv - horner_eval(poly, xv, digits)) for xv, sv in zip(xs, sins)
         ]
 
 
@@ -413,17 +430,23 @@ def figure_data(figure_id: str, grid: Grid | None = None) -> dict:
         for k in (1, 3, 5, 7, 9):
             cols[f"taylor_{k}"] = [abs(v) for v in _curve_re(taylor_sine(k), grid, digits)]
     elif figure_id == "4":
+        sins = _sin_column(xs, digits)
         for n in (1, 2, 3, 4):
-            cols[f"err_spline_{n}"] = _curve_err(sine_lower(n).body, grid, digits)
+            cols[f"err_spline_{n}"] = _curve_err(sine_lower(n).body, xs, sins, digits)
     elif figure_id == "5":
+        sins = _sin_column(xs, digits)
         for n in range(1, 10):
-            cols[f"series1_{n}"] = _series_column("order1", n, xs, digits)
+            cols[f"series1_{n}"] = _series_column("order1", n, xs, sins, digits)
     elif figure_id == "6":
+        sins = _sin_column(xs, digits)
         for n in range(2, 10):
-            cols[f"series2_{n}"] = _series_column("order2", n, xs, digits)
+            cols[f"series2_{n}"] = _series_column("order2", n, xs, sins, digits)
     elif figure_id == "7":
+        sins = _sin_column(xs, digits)
         for n in (2, 3, 4):
-            cols[f"err_upper_{n}"] = _curve_err(sine_upper(n).body, grid, digits, sign=-1)
+            cols[f"err_upper_{n}"] = _curve_err(
+                sine_upper(n).body, xs, sins, digits, sign=-1
+            )
     elif figure_id == "8":
         for n in (1, 2, 3, 4):
             cols[f"si_spline_{n}"] = [

@@ -160,7 +160,10 @@ def si_reference(x: ExtReal, digits: int | None = None) -> ExtReal:
     """Si(x) by its alternating power series, correct to the requested digits.
 
     Truncated when the next term drops below 10^(-digits-5); the alternating
-    remainder bound then guarantees the stated accuracy.
+    remainder bound then guarantees the stated accuracy.  Each term's
+    magnitude x^(2k+1)/((2k+1)(2k+1)!) is computed once and added with sign
+    (-1)^k; rounding to nearest is sign-symmetric, so this is the same sum
+    as rounding each signed term.
     """
     digits = digits or x.digits
     with mp.workdps(digits + 15):
@@ -170,12 +173,12 @@ def si_reference(x: ExtReal, digits: int | None = None) -> ExtReal:
         cutoff = mp.mpf(10) ** (-digits - 5)
         total = mp.mpf(0)
         k = 0
+        mag = xv  # x^1 / (1 * 1!)
         while True:
-            term = (-1) ** k * xv ** (2 * k + 1) / ((2 * k + 1) * factorial(2 * k + 1))
-            total += term
+            total += -mag if k % 2 else mag
             k += 1
-            nxt = xv ** (2 * k + 1) / ((2 * k + 1) * factorial(2 * k + 1))
-            if nxt < cutoff:
+            mag = xv ** (2 * k + 1) / ((2 * k + 1) * factorial(2 * k + 1))
+            if mag < cutoff:
                 break
         return ExtReal(total, digits)
 

@@ -30,9 +30,11 @@ class PiRational:
 
     Canonical form: fractions in lowest terms (Fraction guarantees this) and
     no zero-valued terms, so structural equality is value equality.
+    `terms` is never changed after construction: every operation returns a
+    new instance, and `to_ext_real` caches its conversions on that basis.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_converted")
 
     def __init__(self, terms: Mapping[int, Union[Fraction, int]] | None = None):
         clean: dict[int, Fraction] = {}
@@ -42,6 +44,7 @@ class PiRational:
                 if q != 0:
                     clean[int(j)] = q
         self.terms = clean
+        self._converted = None
 
     # -- constructors ------------------------------------------------------
 
@@ -144,16 +147,26 @@ class PiRational:
     # -- conversion --------------------------------------------------------
 
     def to_ext_real(self, digits: int) -> "ExtReal":
-        """Decimal value correct to `digits` significant digits."""
+        """Decimal value correct to `digits` significant digits.
+
+        Converted once per `digits` and kept on the instance: the value
+        depends only on `terms` and `digits`, since the conversion sets its
+        own working precision.
+        """
         if digits < 1:
             raise ValueError("digits must be >= 1")
-        with mp.workdps(digits + 15):
-            pi = mp.pi
-            total = mp.mpf(0)
-            for j, q in self.terms.items():
-                total += mp.mpf(q.numerator) / q.denominator * pi**j
-            value = +total
-        return ExtReal(value, digits)
+        if self._converted is None:
+            self._converted = {}
+        out = self._converted.get(digits)
+        if out is None:
+            with mp.workdps(digits + 15):
+                pi = mp.pi
+                total = mp.mpf(0)
+                for j, q in self.terms.items():
+                    total += mp.mpf(q.numerator) / q.denominator * pi**j
+                value = +total
+            out = self._converted[digits] = ExtReal(value, digits)
+        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -304,8 +317,9 @@ Coeff = Union[PiRational, ExtReal]
 class Poly:
     """Dense univariate polynomial tagged with its variable convention.
 
-    Coefficients are PiRational (exact path) or ExtReal; trailing zeros are
-    trimmed so the degree is canonical.
+    Coefficients are PiRational (exact path) or ExtReal, held in a tuple
+    because one Poly can be shared by every caller (`sine_spline` memoises
+    its result); trailing zeros are trimmed so the degree is canonical.
     """
 
     __slots__ = ("coefficients", "variable")
@@ -314,7 +328,7 @@ class Poly:
         coeffs = list(coefficients)
         while coeffs and _is_zero(coeffs[-1]):
             coeffs.pop()
-        self.coefficients = coeffs
+        self.coefficients = tuple(coeffs)
         self.variable = variable
 
     @property
@@ -378,7 +392,7 @@ class Poly:
         )
 
     def __hash__(self):
-        return hash((self.variable, tuple(self.coefficients)))
+        return hash((self.variable, self.coefficients))
 
     def __repr__(self):
         return f"Poly(deg={self.degree}, var={self.variable.value})"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 from .numerics import PiRational, Poly, Var
@@ -115,8 +116,13 @@ def sine_endpoint_data(n: int) -> EndpointData:
     )
 
 
+@cache
 def sine_spline(n: int) -> SplineApproximant:
-    """n-th order spline approximant to sin(x) on [0, pi/2], exact coefficients."""
+    """n-th order spline approximant to sin(x) on [0, pi/2], exact coefficients.
+
+    Built once per order and shared by every caller: treat the result as
+    immutable.
+    """
     if n < 0:
         raise ValueError("order must be >= 0")
     s = two_point_spline(sine_endpoint_data(n), n)
