@@ -9,6 +9,7 @@ so that bounds near 1e-100 remain resolvable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
 import mpmath as mp
@@ -62,8 +63,9 @@ def half_pi_grid(count: int = DEFAULT_SAMPLES, digits: int = DEFAULT_DIGITS) -> 
 
 @dataclass(frozen=True)
 class RelErrReport:
-    """Scan result; `rounds` counts the scans made and `converged` says
-    whether the last one was at a precision able to resolve its bound."""
+    """Scan result; `rounds` counts the scans made, `digits` is the precision
+    of the last one (the one `re_values` come from) and `converged` says
+    whether that precision was able to resolve its bound."""
 
     bound_id: str
     grid: Grid
@@ -78,8 +80,26 @@ class RelErrReport:
 # reference evaluators ------------------------------------------------------
 
 
+# One certify pass over the Si bounds asks for about 1,000 distinct points;
+# an entry costs about 640 B, so the memo stays under 3 MB.
+@lru_cache(maxsize=4096)
+def _si_value(x, digits: int) -> mp.mpf:
+    """Si(x) to `digits` digits, summed once per (x, digits) and shared by
+    every bound, table and figure that asks for it.
+
+    Keyed by the mpf value of x, never by an ExtReal (whose equality ignores
+    its digits); the series sets its own working precision, so the value
+    depends on nothing else.
+    """
+    return si_reference(ExtReal(x, digits)).value
+
+
 def reference_for(target: str):
-    """Reference evaluator f(x) at working digits, by target name."""
+    """Reference evaluator f(x) at working digits, by target name.
+
+    sin, cos and sinc are cheap and evaluated at the caller's working
+    precision; the Si series is not, and its values are memoised.
+    """
     if target == "sin":
         return lambda x, d: mp.sin(x)
     if target == "cos":
@@ -87,7 +107,7 @@ def reference_for(target: str):
     if target == "sinc":
         return lambda x, d: mp.sin(x) / x if x != 0 else mp.mpf(1)
     if target == "si":
-        return lambda x, d: si_reference(ExtReal(x, d)).value
+        return _si_value
     raise ValueError(f"unknown target {target!r}")
 
 
@@ -135,16 +155,14 @@ def re_bound_scan(
     bound is well above rounding noise (re_bound >> 10^-digits), for at most
     `max_rounds` scans; the report says whether that happened.
     """
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
     digits = digits or max(grid.digits, DEFAULT_DIGITS)
-    converged = False
     for rounds in range(1, max_rounds + 1):
         values, best, arg = _scan_once(approx, reference, grid, digits)
-        if best == 0:
-            converged = True
-            break
         needed = digits_for_bound(float(best), floor=DEFAULT_DIGITS)
-        if needed <= digits:
-            converged = True
+        converged = best == 0 or needed <= digits
+        if converged or rounds == max_rounds:
             break
         digits = needed
     bound_id = f"{approx.family}:{approx.target}:{approx.direction}:{approx.order}"

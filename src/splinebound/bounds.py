@@ -8,6 +8,7 @@ catalog of published baseline inequalities used for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property, lru_cache
 from math import factorial
 from typing import Callable, Optional, Union
 
@@ -26,7 +27,8 @@ class BoundFn:
 
     direction 'lower' means body(x) <= target(x) on [0, pi/2] (strict inside,
     equal at declared sharp points); 'upper' the reverse; 'approximation'
-    claims no direction.
+    claims no direction.  The builders below return one shared instance per
+    argument value: treat it as immutable.
     """
 
     family: str
@@ -67,7 +69,12 @@ class BoundFn:
         if self.target != "cos" or not isinstance(self.body, Poly):
             raise ValueError("half-pi ratio applies to polynomial cos bounds")
         with mp.workdps(digits + 10):
-            return -horner_eval(self.body.derivative(), mp.pi / 2, digits)
+            return -horner_eval(self._body_derivative, mp.pi / 2, digits)
+
+    @cached_property
+    def _body_derivative(self) -> Poly:
+        # built once per instance, so its coefficients convert once per digits
+        return self.body.derivative()
 
     def as_sinc(self) -> "BoundFn":
         """Expose a sin-target polynomial bound in sin(x)/x form."""
@@ -105,11 +112,13 @@ class BoundFn:
 # -- spline bounds ---------------------------------------------------------
 
 
+@cache
 def sine_lower(n: int) -> BoundFn:
     """n-th order spline approximant as a lower bound, sharp at 0 and pi/2."""
     return BoundFn("spline", n, "lower", "sin", sine_spline(n).poly)
 
 
+@cache
 def sine_upper(n: int) -> BoundFn:
     """Upper bound 2*f_n - f_(n-1) from consecutive spline lower bounds.
 
@@ -143,12 +152,28 @@ def sufficiency_check(K: int, digits: int = 50) -> SufficiencyCertificate:
 
 
 def reflect_to_cos(b: BoundFn) -> BoundFn:
-    """Map a sin bound to the cos bound obtained by the x -> pi/2 - y substitution."""
+    """Map a sin bound to the cos bound obtained by the x -> pi/2 - y substitution.
+
+    A bound with exact coefficients is reflected once per value and the
+    result shared.  ExtReal coefficients compare and hash by value alone,
+    whatever their digits, so a bound holding them is reflected afresh
+    rather than matched against an entry made at other digits.
+    """
     if b.target != "sin" or not isinstance(b.body, Poly):
         raise ValueError("reflection applies to polynomial sin bounds")
+    if all(isinstance(c, PiRational) for c in b.body.coefficients):
+        return _reflect_exact(b)
+    return _reflect(b)
+
+
+def _reflect(b: BoundFn) -> BoundFn:
     return BoundFn(b.family, b.order, b.direction, "cos", reflect_half_pi(b.body))
 
 
+_reflect_exact = lru_cache(maxsize=256)(_reflect)
+
+
+@cache
 def si_lower(n: int) -> BoundFn:
     """Lower bound for Si(x): term-wise integral of the sine spline over lambda."""
     from .numerics import integrate_over_lambda
@@ -186,6 +211,7 @@ def si_reference(x: ExtReal, digits: int | None = None) -> ExtReal:
 # -- Taylor reference ------------------------------------------------------
 
 
+@cache
 def taylor_sine(order: int) -> BoundFn:
     """Truncated sine Taylor polynomial of odd order k.
 
@@ -215,6 +241,7 @@ def zhu_alpha(n: int) -> list[PiRational]:
     return a[: n + 1]
 
 
+@cache
 def zhu_bound(n: int, direction: str) -> BoundFn:
     """Order-n Zhu bound for sin(x)/x in the variable u = pi^2 - 4x^2."""
     alpha = zhu_alpha(n + 1)
@@ -251,6 +278,12 @@ def _mk(fn, at_zero=None):
     return body
 
 
+def _real_cbrt(v):
+    # cos(x) at pi/2 rounded to the working precision can be a tiny negative
+    # number, where mp.cbrt returns the complex principal root
+    return mp.cbrt(v) if v >= 0 else -mp.cbrt(-v)
+
+
 def _lv_si_body(x, digits):
     with mp.workdps(digits + 10):
         x = mp.mpf(x)
@@ -259,6 +292,7 @@ def _lv_si_body(x, digits):
         ) / (9 * mp.pi**2)
 
 
+@cache
 def lv_si_lower() -> BoundFn:
     """Published closed-form lower bound for the sine integral."""
     return BoundFn(
@@ -284,7 +318,7 @@ def baseline_catalog() -> list[BoundFn]:
         # Table 1.1 rows
         BoundFn("table11_1", 1, "lower", "sinc", _mk(lambda x: (1 + mp.cos(x)) / 2)),
         BoundFn("table11_1", 1, "upper", "sinc", cusa),
-        BoundFn("table11_2", 2, "lower", "sinc", _mk(lambda x: mp.cbrt(mp.cos(x)))),
+        BoundFn("table11_2", 2, "lower", "sinc", _mk(lambda x: _real_cbrt(mp.cos(x)))),
         BoundFn("table11_2", 2, "upper", "sinc", cusa),
         BoundFn(
             "table11_3",

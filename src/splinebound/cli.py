@@ -309,6 +309,9 @@ def main(argv=None) -> int:
     if getattr(args, "order", 0) < 0:
         print("error: order must be >= 0", file=sys.stderr)
         return EXIT_USAGE
+    if getattr(args, "digits", 1) < 1:
+        print("error: --digits must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.fn(args)
     except ValueError as exc:

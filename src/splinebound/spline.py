@@ -134,11 +134,13 @@ def reflect_half_pi(p: Poly) -> Poly:
     return p.substitute_affine(HALF_PI, PiRational.from_rational(-1))
 
 
+@cache
 def cosine_spline(n: int) -> SplineApproximant:
     """n-th order spline approximant to cos(y) on [0, pi/2].
 
     Equal, coefficient by coefficient, to the sine spline reflected through
     pi/2 (and to the generic interpolant fed with cosine endpoint data).
+    Built once per order and shared, like `sine_spline`.
     """
     if n < 0:
         raise ValueError("order must be >= 0")

@@ -76,6 +76,12 @@ class TestReBoundScan:
         assert rep.digits >= 50
         assert rep.re_bound > mp.mpf(10) ** (-rep.digits + 10)
 
+    def test_needs_a_round(self):
+        with pytest.raises(ValueError, match="max_rounds"):
+            re_bound_scan(
+                sine_lower(2), reference_for("sin"), half_pi_grid(10, 50), 50, max_rounds=0
+            )
+
     def test_grid_refinement_stable(self):
         # refining 1000 -> 4000 points moves the measured bound by < 1%
         coarse = re_bound_scan(

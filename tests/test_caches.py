@@ -1,9 +1,11 @@
 """Cached and shared values are bit-identical to computing them afresh.
 
-Exact coefficients are converted once per precision, `sine_spline` is built
-once per order, a figure's sin column is shared by its curves and
-`si_reference` computes each term once.  Each test compares `_mpf_` tuples
-(or ==) against a fresh computation or a reference kept here.
+Exact coefficients are converted once per precision, `sine_spline` and the
+bound builders are built once per order, the cosine reflection once per
+exact value, a figure's sin column is shared by its curves, the Si
+reference is memoised per (x, digits) and `si_reference` computes each term
+once.  Each test compares `_mpf_` tuples (or ==) against a fresh
+computation or a reference kept here.
 """
 
 from math import factorial
@@ -18,8 +20,15 @@ from splinebound.analysis import (
     re_bound_scan,
     reference_for,
 )
-from splinebound.bounds import si_reference, sine_lower, sine_upper
-from splinebound.numerics import ExtReal, PiRational
+from splinebound.bounds import (
+    BoundFn,
+    reflect_to_cos,
+    si_lower,
+    si_reference,
+    sine_lower,
+    sine_upper,
+)
+from splinebound.numerics import ExtReal, PiRational, Poly
 from splinebound.series import sine_series
 from splinebound.spline import sine_endpoint_data, sine_spline, two_point_spline
 
@@ -64,7 +73,60 @@ def test_scan_reports_rounds_and_convergence():
     rep = re_bound_scan(sine_lower(8), ref, grid, 50)
     assert (rep.rounds, rep.converged, rep.digits) == (2, True, 56)
     capped = re_bound_scan(sine_lower(8), ref, grid, 50, max_rounds=1)
-    assert (capped.rounds, capped.converged) == (1, False)
+    # the digits its values were scanned at, not the next round's 56
+    assert (capped.rounds, capped.converged, capped.digits) == (1, False, 50)
+
+
+@pytest.mark.parametrize("n", (2, 5))
+def test_bounds_built_once(n):
+    assert sine_lower(n) is sine_lower(n)
+    assert sine_upper(n) is sine_upper(n)
+    assert si_lower(n) is si_lower(n)
+
+
+def test_reflection_shared_by_value():
+    up = sine_upper(5)
+    cos_up = reflect_to_cos(up)
+    assert reflect_to_cos(up) is cos_up
+    body = Poly([fresh_copy(c) for c in up.body.coefficients], up.body.variable)
+    fresh = BoundFn(up.family, up.order, up.direction, up.target, body)
+    assert fresh is not up
+    assert reflect_to_cos(fresh) is cos_up
+
+
+def test_reflection_of_decimal_body_keeps_its_digits():
+    # the same decimal values tagged with 20 and 60 digits compare equal,
+    # since ExtReal equality ignores digits: a memo keyed on such a body
+    # would hand the 20-digit reflection to the 60-digit bound
+    poly = sine_lower(2).body
+    values = [c.to_ext_real(20).value for c in poly.coefficients]
+
+    def decimal_bound(digits):
+        body = Poly([ExtReal(v, digits) for v in values], poly.variable)
+        return BoundFn("kernel", 2, "lower", "sin", body)
+
+    assert decimal_bound(20) == decimal_bound(60)
+
+    low, high = reflect_to_cos(decimal_bound(20)), reflect_to_cos(decimal_bound(60))
+    assert {c.digits for c in low.body.coefficients} == {20}
+    assert {c.digits for c in high.body.coefficients} == {60}
+
+
+@pytest.mark.parametrize("digits", (50, 58, 90))
+def test_si_memo_matches_direct_series(digits):
+    si = reference_for("si")
+    grid = half_pi_grid(41, digits)
+    points = grid.points(digits)
+    assert points[0] == 0 and points[-1] == grid.right.value  # 0 and pi/2
+    for _ in range(2):  # the second pass reads the memo
+        for xv in points:
+            got = si(xv, digits)
+            assert got._mpf_ == si_reference(ExtReal(xv, digits)).value._mpf_
+
+
+def test_si_memo_is_bounded():
+    maxsize = reference_for("si").cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
 
 
 def si_reference_two_powers(xv, digits):

@@ -1,13 +1,18 @@
 """Command-line interface: outputs, formats, exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splinebound.cli import (
+    EXIT_CERTIFICATION,
     EXIT_OK,
+    EXIT_TABLE_MISMATCH,
     EXIT_USAGE,
     build_parser,
     main,
@@ -103,6 +108,13 @@ class TestFigure:
         assert lines[0].split(",")[0] == "x"
         assert len(lines) == 12
 
+    def test_cube_root_of_rounded_cos_is_real(self, capsys):
+        # cos at pi/2 rounded to 34 digits is negative: table 1.1 row 2's
+        # cube root used to turn complex and raise TypeError
+        code, out, _ = run_cli(capsys, "--precision", "24", "--samples", "2", "figure", "1")
+        assert code == EXIT_OK
+        assert json.loads(out)["columns"]["table11_2_lower"][1].startswith("1.0")
+
     def test_json_output(self, capsys):
         code, out, _ = run_cli(capsys, "--samples", "11", "figure", "2")
         assert code == EXIT_OK
@@ -142,6 +154,13 @@ class TestUsage:
         code, _, _ = run_cli(capsys, "gen", "tan", "1")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("digits", ("-3", "0"))
+    def test_codegen_digits_below_one_rejected(self, capsys, digits):
+        code, out, err = run_cli(capsys, "codegen", "sin", "3", "--digits", digits)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.strip() == "error: --digits must be >= 1"
+
     def test_env_precision_default(self, monkeypatch):
         monkeypatch.setenv("SPLINEBOUND_PRECISION", "77")
         args = build_parser().parse_args(["gen", "sin", "1"])
@@ -152,6 +171,48 @@ class TestUsage:
         code, _, err = run_cli(capsys, "gen", "sin", "1")
         assert code == EXIT_USAGE
         assert "error:" in err and "precision" in err
+
+
+# Small ranges keep each request cheap: at most 20 points at order <= 4.
+_ORDERS = st.integers(min_value=0, max_value=4).map(str)
+_DIGITS = st.integers(min_value=-3, max_value=60).map(str)
+_TARGETS = st.sampled_from(("sin", "cos", "si", "tan"))
+_COMMANDS = st.one_of(
+    st.tuples(
+        st.just("gen"), _TARGETS, _ORDERS,
+        st.sampled_from(("exact", "decimal", "both", "rational")),
+        st.just("--digits"), _DIGITS,
+    ),
+    st.tuples(
+        st.just("bounds"), _TARGETS, _ORDERS, st.sampled_from(("lower", "upper", "inner"))
+    ),
+    st.tuples(st.just("codegen"), _TARGETS, _ORDERS, st.just("--digits"), _DIGITS),
+    st.tuples(st.just("figure"), st.integers(min_value=0, max_value=9).map(str)),
+    st.tuples(st.just("table"), st.sampled_from(("2.1", "4.4"))),
+)
+
+
+@st.composite
+def cli_argv(draw):
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--precision", draw(_DIGITS)]
+    argv += ["--samples", str(draw(st.integers(min_value=-1, max_value=20)))]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(("json", "csv", "text", "yaml")))]
+    return argv + list(draw(_COMMANDS))
+
+
+class TestFuzz:
+    @given(argv=cli_argv())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_code_is_documented(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_CERTIFICATION, EXIT_TABLE_MISMATCH)
+        if code == EXIT_USAGE:
+            assert "error" in err.getvalue()
 
 
 class TestEntryPoint:
