@@ -9,13 +9,13 @@ so that bounds near 1e-100 remain resolvable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import factorial
+from functools import cache, lru_cache, partial
 
 import mpmath as mp
 
 from .bounds import (
     BoundFn,
+    baseline_catalog,
     lv_si_lower,
     si_lower,
     si_reference,
@@ -303,19 +303,48 @@ def _sin_column(xs, digits: int) -> list:
 
 def _series_column(variant: str, n: int, xs, sins, digits: int) -> list:
     """|1 - series(x)/sin(x)| at each x, 0 at x = 0 where both series are
-    exact in the limit; the exact series is built once for the column."""
+    exact in the limit; the exact series is built once for the column and
+    sins() gives the sin column."""
     s = sine_series(variant, n)
     with mp.workdps(digits + 10):
         return [
             abs(1 - s.eval(xv, digits, n) / sv) if xv != 0 else mp.mpf(0)
-            for xv, sv in zip(xs, sins)
+            for xv, sv in zip(xs, sins())
         ]
 
 
-def _series_re_bound(variant: str, n: int, expected: float, samples: int) -> mp.mpf:
-    digits = digits_for_bound(expected)
-    xs = half_pi_grid(samples, digits).points(digits)
-    return max(_series_column(variant, n, xs, _sin_column(xs, digits), digits))
+# Table and figure specs name their builders inside lambdas, so a builder is
+# looked up when a value is computed and a wrapper put over its module name
+# at run time sees every call.
+
+
+def _scanned(build, row, grid: Grid, digits: int):
+    """Table cell: the bound build(row) and its max |re| on the grid."""
+    bound = build(row)
+    rep = re_bound_scan(bound, reference_for(bound.target), grid, digits)
+    return bound, rep.re_bound
+
+
+def _series_max(variant: str, n: int, grid: Grid, digits: int):
+    """Table cell: no bound, and the largest value of the series column."""
+    xs = grid.points(digits)
+    column = _series_column(variant, n, xs, lambda: _sin_column(xs, digits), digits)
+    return None, max(column)
+
+
+# table id -> (row label, whether rows show their bound's direction, columns);
+# a column (key suffix, published value by row, cell) fills computed<suffix>
+# and expected<suffix>, the cell scanning at the digits the published value
+# needs.  Taylor polynomials alternate between lower and upper bounds.
+_TABLES = {
+    "2.1": ("order", True, [("", TABLE_2_1, partial(_scanned, lambda n: taylor_sine(n)))]),
+    "3.1": ("order", False, [("", TABLE_3_1, partial(_scanned, lambda n: sine_lower(n)))]),
+    "5.1": ("terms", False, [
+        ("_first", {n: v[0] for n, v in TABLE_5_1.items()}, partial(_series_max, "order1")),
+        ("_second", {n: v[1] for n, v in TABLE_5_1.items()}, partial(_series_max, "order2")),
+    ]),
+    "5.2": ("order", False, [("", TABLE_5_2, partial(_scanned, lambda n: si_lower(n)))]),
+}
 
 
 def reproduce_table(table_id: str, samples: int = DEFAULT_SAMPLES) -> list[dict]:
@@ -323,154 +352,97 @@ def reproduce_table(table_id: str, samples: int = DEFAULT_SAMPLES) -> list[dict]
 
     Mismatches are reported via the per-row 'pass' flag, never raised.
     """
-    rows: list[dict] = []
-    if table_id == "2.1":
-        for order, expected in TABLE_2_1.items():
-            digits = digits_for_bound(expected)
-            b = taylor_sine(order)
-            rep = re_bound_scan(
-                b, reference_for("sin"), half_pi_grid(samples, digits), digits
-            )
-            rows.append(
-                {
-                    "table": table_id,
-                    "order": order,
-                    "direction": b.direction,
-                    "computed": rep.re_bound,
-                    "expected": expected,
-                    "pass": matches_sig_figs(rep.re_bound, expected),
-                }
-            )
-    elif table_id == "3.1":
-        for order, expected in TABLE_3_1.items():
-            digits = digits_for_bound(expected)
-            rep = re_bound_scan(
-                sine_lower(order),
-                reference_for("sin"),
-                half_pi_grid(samples, digits),
-                digits,
-            )
-            rows.append(
-                {
-                    "table": table_id,
-                    "order": order,
-                    "computed": rep.re_bound,
-                    "expected": expected,
-                    "pass": matches_sig_figs(rep.re_bound, expected),
-                }
-            )
-    elif table_id == "5.1":
-        for n, (first, second) in TABLE_5_1.items():
-            row = {"table": table_id, "terms": n}
-            b1 = _series_re_bound("order1", n, first, samples)
-            row["computed_first"] = b1
-            row["expected_first"] = first
-            ok = matches_sig_figs(b1, first)
-            if second is None:
-                row["computed_second"] = None
-                row["expected_second"] = "not stated in source table"
-            else:
-                b2 = _series_re_bound("order2", n, second, samples)
-                row["computed_second"] = b2
-                row["expected_second"] = second
-                ok = ok and matches_sig_figs(b2, second)
-            row["pass"] = ok
-            rows.append(row)
-    elif table_id == "5.2":
-        for order, expected in TABLE_5_2.items():
-            digits = digits_for_bound(expected)
-            rep = re_bound_scan(
-                si_lower(order),
-                reference_for("si"),
-                half_pi_grid(samples, digits),
-                digits,
-            )
-            rows.append(
-                {
-                    "table": table_id,
-                    "order": order,
-                    "computed": rep.re_bound,
-                    "expected": expected,
-                    "pass": matches_sig_figs(rep.re_bound, expected),
-                }
-            )
-    else:
+    if table_id not in _TABLES:
         raise ValueError(f"unknown table id {table_id!r}")
+    label, show_direction, columns = _TABLES[table_id]
+    rows: list[dict] = []
+    for key in columns[0][1]:
+        row = {"table": table_id, label: key}
+        ok = True
+        for suffix, published, cell in columns:
+            expected = published[key]
+            if expected is None:
+                row[f"computed{suffix}"] = None
+                row[f"expected{suffix}"] = "not stated in source table"
+                continue
+            digits = digits_for_bound(expected)
+            bound, computed = cell(key, half_pi_grid(samples, digits), digits)
+            if show_direction:
+                row["direction"] = bound.direction
+            row[f"computed{suffix}"] = computed
+            row[f"expected{suffix}"] = expected
+            ok = ok and matches_sig_figs(computed, expected)
+        row["pass"] = ok
+        rows.append(row)
     return rows
 
 
 # -- figure data ------------------------------------------------------------
+#
+# A curve maps (xs, sins, digits) to one value per x; sins() returns the
+# figure's sin column, computed on first use.
 
 
-def _curve_re(bound: BoundFn, grid: Grid, digits: int) -> list:
+def _abs_re(build, xs, sins, digits: int) -> list:
+    """|re| of the bound build() against its own reference."""
+    bound = build()
     ref = reference_for(bound.target)
-    return [
-        relative_error(bound, ref, ExtReal(xv, digits)).value
-        for xv in grid.points(digits)
-    ]
+    return [abs(relative_error(bound, ref, ExtReal(xv, digits)).value) for xv in xs]
 
 
-def _curve_err(poly: Poly, xs, sins, digits: int, sign: int = 1) -> list:
-    """sign * (sin - poly) pointwise, for sin-target polynomials."""
+def _sin_minus(build, sign: int, xs, sins, digits: int) -> list:
+    """sign * (sin - p) for the polynomial body p of the sin bound build()."""
+    poly = build().body
     with mp.workdps(digits + 10):
         return [
-            sign * (sv - horner_eval(poly, xv, digits)) for xv, sv in zip(xs, sins)
+            sign * (sv - horner_eval(poly, xv, digits)) for xv, sv in zip(xs, sins())
         ]
+
+
+def _table11(row: int, direction: str) -> BoundFn:
+    key = (f"table11_{row}", direction)
+    return next(b for b in baseline_catalog() if (b.family, b.direction) == key)
+
+
+# figure id -> its columns after x, as (name, curve)
+_FIGURES = {
+    "1": [
+        (f"table11_{r}_{d}", partial(_abs_re, lambda r=r, d=d: _table11(r, d)))
+        for r in (1, 2, 4, 5, 8, 10)
+        for d in ("lower", "upper")
+    ],
+    "2": [
+        (f"zhu_{n}_{d}", partial(_abs_re, lambda n=n, d=d: zhu_bound(n, d)))
+        for n in range(3)
+        for d in ("lower", "upper")
+    ],
+    "3": [(f"spline_{n}", partial(_abs_re, lambda n=n: sine_lower(n))) for n in range(1, 5)]
+    + [(f"taylor_{k}", partial(_abs_re, lambda k=k: taylor_sine(k))) for k in range(1, 10, 2)],
+    "4": [
+        (f"err_spline_{n}", partial(_sin_minus, lambda n=n: sine_lower(n), 1))
+        for n in range(1, 5)
+    ],
+    "5": [(f"series1_{n}", partial(_series_column, "order1", n)) for n in range(1, 10)],
+    "6": [(f"series2_{n}", partial(_series_column, "order2", n)) for n in range(2, 10)],
+    "7": [
+        (f"err_upper_{n}", partial(_sin_minus, lambda n=n: sine_upper(n), -1))
+        for n in range(2, 5)
+    ],
+    "8": [(f"si_spline_{n}", partial(_abs_re, lambda n=n: si_lower(n))) for n in range(1, 5)]
+    + [("lv", partial(_abs_re, lambda: lv_si_lower()))],
+}
 
 
 def figure_data(figure_id: str, grid: Grid | None = None) -> dict:
     """Columnar data behind each published figure (abscissae plus one column
     per curve); rendering is left to downstream tools."""
-    from .bounds import baseline_catalog
-
+    if figure_id not in _FIGURES:
+        raise ValueError(f"unknown figure id {figure_id!r}")
     grid = grid or half_pi_grid(DEFAULT_SAMPLES, DEFAULT_DIGITS)
     digits = grid.digits
     xs = grid.points(digits)
+    sins = cache(lambda: _sin_column(xs, digits))
     cols: dict[str, list] = {"x": xs}
-
-    if figure_id == "1":
-        catalog = {(b.family, b.direction): b for b in baseline_catalog()}
-        for row in (1, 2, 4, 5, 8, 10):
-            for direction in ("lower", "upper"):
-                b = catalog[(f"table11_{row}", direction)]
-                cols[f"table11_{row}_{direction}"] = [
-                    abs(v) for v in _curve_re(b, grid, digits)
-                ]
-    elif figure_id == "2":
-        for n in range(3):
-            for direction in ("lower", "upper"):
-                cols[f"zhu_{n}_{direction}"] = [
-                    abs(v) for v in _curve_re(zhu_bound(n, direction), grid, digits)
-                ]
-    elif figure_id == "3":
-        for n in (1, 2, 3, 4):
-            cols[f"spline_{n}"] = [abs(v) for v in _curve_re(sine_lower(n), grid, digits)]
-        for k in (1, 3, 5, 7, 9):
-            cols[f"taylor_{k}"] = [abs(v) for v in _curve_re(taylor_sine(k), grid, digits)]
-    elif figure_id == "4":
-        sins = _sin_column(xs, digits)
-        for n in (1, 2, 3, 4):
-            cols[f"err_spline_{n}"] = _curve_err(sine_lower(n).body, xs, sins, digits)
-    elif figure_id == "5":
-        sins = _sin_column(xs, digits)
-        for n in range(1, 10):
-            cols[f"series1_{n}"] = _series_column("order1", n, xs, sins, digits)
-    elif figure_id == "6":
-        sins = _sin_column(xs, digits)
-        for n in range(2, 10):
-            cols[f"series2_{n}"] = _series_column("order2", n, xs, sins, digits)
-    elif figure_id == "7":
-        sins = _sin_column(xs, digits)
-        for n in (2, 3, 4):
-            cols[f"err_upper_{n}"] = _curve_err(
-                sine_upper(n).body, xs, sins, digits, sign=-1
-            )
-    elif figure_id == "8":
-        for n in (1, 2, 3, 4):
-            cols[f"si_spline_{n}"] = [
-                abs(v) for v in _curve_re(si_lower(n), grid, digits)
-            ]
-        cols["lv"] = [abs(v) for v in _curve_re(lv_si_lower(), grid, digits)]
-    else:
-        raise ValueError(f"unknown figure id {figure_id!r}")
+    for name, curve in _FIGURES[figure_id]:
+        cols[name] = curve(xs, sins, digits)
     return {"figure": figure_id, "samples": grid.count, "digits": digits, "columns": cols}

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Union
 
 import mpmath as mp
 
-from .numerics import ExtReal, PiRational, Poly, Var, horner_eval
+from .numerics import ExtReal, PiRational, Poly, horner_eval
 from .series import order1_coefficients, order2_coefficients
 from .spline import reflect_half_pi, sine_spline
 
@@ -304,6 +304,10 @@ def baseline_catalog() -> list[BoundFn]:
     """Published sin(x)/x bounds: the classical inequalities, the ten tabulated
     lower/upper pairs, Zhu orders 0-2 and the Lv sine-integral bound."""
     cusa = _mk(lambda x: (2 + mp.cos(x)) / 3)
+
+    def cos_ratio(x):  # (9 + 6 cos x)/(14 + cos x), shared by rows 8 and 9
+        return (9 + 6 * mp.cos(x)) / (14 + mp.cos(x))
+
     entries: list[BoundFn] = [
         BoundFn("jordan", 0, "lower", "sinc", _mk(lambda x: 2 / mp.pi)),
         BoundFn("jordan", 0, "upper", "sinc", _mk(lambda x: mp.mpf(1))),
@@ -390,30 +394,15 @@ def baseline_catalog() -> list[BoundFn]:
             "sinc",
             _mk(lambda x: (28 / mp.pi + 6 * mp.cos(x)) / (14 + mp.cos(x))),
         ),
-        BoundFn(
-            "table11_8",
-            8,
-            "upper",
-            "sinc",
-            _mk(lambda x: (9 + 6 * mp.cos(x)) / (14 + mp.cos(x))),
-        ),
+        BoundFn("table11_8", 8, "upper", "sinc", _mk(cos_ratio)),
         BoundFn(
             "table11_9",
             9,
             "lower",
             "sinc",
-            _mk(
-                lambda x: ((9 + 6 * mp.cos(x)) / (14 + mp.cos(x)))
-                ** (mp.log(mp.pi / 2) / mp.log(mp.mpf(14) / 9))
-            ),
+            _mk(lambda x: cos_ratio(x) ** (mp.log(mp.pi / 2) / mp.log(mp.mpf(14) / 9))),
         ),
-        BoundFn(
-            "table11_9",
-            9,
-            "upper",
-            "sinc",
-            _mk(lambda x: (9 + 6 * mp.cos(x)) / (14 + mp.cos(x))),
-        ),
+        BoundFn("table11_9", 9, "upper", "sinc", _mk(cos_ratio)),
         BoundFn(
             "table11_10",
             10,

@@ -27,12 +27,15 @@ from .bounds import (
     sine_upper,
 )
 from .numerics import DEFAULT_DIGITS, ExtReal, PiRational, Poly
-from .spline import cosine_spline, sine_spline
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CERTIFICATION = 2
 EXIT_TABLE_MISMATCH = 3
+
+# A cold exact build grows about as order^3, so an unchecked order can run
+# for hours; the published tables go up to order 32.
+MAX_ORDER = 64
 
 
 def _nstr(value, digits: int) -> str:
@@ -46,16 +49,6 @@ def _emit(text: str, out_path: str | None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _approximant_for(target: str, order: int):
-    if target == "sin":
-        return sine_spline(order).poly
-    if target == "cos":
-        return cosine_spline(order).poly
-    if target == "si":
-        return si_lower(order).body
-    raise ValueError(f"unknown target {target!r}")
 
 
 def _bound_for(target: str, order: int, direction: str) -> BoundFn:
@@ -72,7 +65,7 @@ def _bound_for(target: str, order: int, direction: str) -> BoundFn:
 
 
 def cmd_gen(args) -> int:
-    poly = _approximant_for(args.target, args.order)
+    poly = _bound_for(args.target, args.order, "lower").body
     payload = {
         "target": args.target,
         "order": args.order,
@@ -107,9 +100,7 @@ def cmd_gen(args) -> int:
 
 def cmd_bounds(args) -> int:
     bound = _bound_for(args.target, args.order, args.direction)
-    grid = analysis.Grid(
-        ExtReal(0, args.precision), ExtReal.pi(args.precision) / 2, args.samples
-    )
+    grid = analysis.half_pi_grid(args.samples, args.precision)
     ok, report = analysis.certify_direction(bound, grid)
     payload = {
         "target": args.target,
@@ -180,9 +171,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    grid = analysis.Grid(
-        ExtReal(0, args.precision), ExtReal.pi(args.precision) / 2, args.samples
-    )
+    grid = analysis.half_pi_grid(args.samples, args.precision)
     data = analysis.figure_data(args.id, grid)
     cols = data["columns"]
     names = list(cols.keys())
@@ -215,7 +204,7 @@ def _round_coefficient(c: PiRational, digits: int) -> mp.mpf:
 
 
 def cmd_codegen(args) -> int:
-    poly = _approximant_for(args.target, args.order)
+    poly = _bound_for(args.target, args.order, "lower").body
     digits = args.digits
     rounded = [_round_coefficient(c, digits) for c in poly.coefficients]
     with mp.workdps(digits + 20):
@@ -226,9 +215,7 @@ def cmd_codegen(args) -> int:
     expected = analysis.TABLE_3_1 if args.target in ("sin", "cos") else analysis.TABLE_5_2
     hint = expected.get(args.order, 1e-20)
     scan_digits = analysis.digits_for_bound(hint)
-    grid = analysis.Grid(
-        ExtReal(0, scan_digits), ExtReal.pi(scan_digits) / 2, args.samples
-    )
+    grid = analysis.half_pi_grid(args.samples, scan_digits)
     report = analysis.re_bound_scan(
         kernel, analysis.reference_for(kernel.target), grid, scan_digits
     )
@@ -308,6 +295,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     if getattr(args, "order", 0) < 0:
         print("error: order must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
+    if getattr(args, "order", 0) > MAX_ORDER:
+        print(f"error: order must be <= {MAX_ORDER}", file=sys.stderr)
         return EXIT_USAGE
     if getattr(args, "digits", 1) < 1:
         print("error: --digits must be >= 1", file=sys.stderr)

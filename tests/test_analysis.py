@@ -148,6 +148,47 @@ class TestTables:
         with pytest.raises(ValueError):
             reproduce_table("9.9")
 
+    @pytest.mark.parametrize(
+        "table_id,label,rows,keys",
+        (
+            ("2.1", "order", [1, 3, 5, 7, 9, 13, 17, 33],
+             ["table", "order", "direction", "computed", "expected", "pass"]),
+            ("3.1", "order", [0, 1, 2, 3, 4, 6, 8, 16, 32],
+             ["table", "order", "computed", "expected", "pass"]),
+            ("5.1", "terms", [1, 2, 3, 4, 6, 8, 12, 16, 20],
+             ["table", "terms", "computed_first", "expected_first",
+              "computed_second", "expected_second", "pass"]),
+            ("5.2", "order", [0, 1, 2, 3, 4, 8, 12, 16],
+             ["table", "order", "computed", "expected", "pass"]),
+        ),
+    )
+    def test_row_keys(self, table_id, label, rows, keys):
+        out = reproduce_table(table_id, samples=5)
+        assert [r[label] for r in out] == rows
+        assert [list(r) for r in out] == [keys] * len(rows)
+        assert all(r["table"] == table_id for r in out)
+
+    def test_unstated_cell(self):
+        row = reproduce_table("5.1", samples=5)[0]
+        assert row["terms"] == 1
+        assert row["computed_second"] is None
+        assert row["expected_second"] == "not stated in source table"
+
+
+# every figure's columns after x, in order
+FIGURE_COLUMNS = {
+    "1": [f"table11_{r}_{d}" for r in (1, 2, 4, 5, 8, 10) for d in ("lower", "upper")],
+    "2": ["zhu_0_lower", "zhu_0_upper", "zhu_1_lower", "zhu_1_upper",
+          "zhu_2_lower", "zhu_2_upper"],
+    "3": ["spline_1", "spline_2", "spline_3", "spline_4",
+          "taylor_1", "taylor_3", "taylor_5", "taylor_7", "taylor_9"],
+    "4": ["err_spline_1", "err_spline_2", "err_spline_3", "err_spline_4"],
+    "5": [f"series1_{n}" for n in range(1, 10)],
+    "6": [f"series2_{n}" for n in range(2, 10)],
+    "7": ["err_upper_2", "err_upper_3", "err_upper_4"],
+    "8": ["si_spline_1", "si_spline_2", "si_spline_3", "si_spline_4", "lv"],
+}
+
 
 class TestFigures:
     @pytest.mark.parametrize(
@@ -161,6 +202,7 @@ class TestFigures:
         assert data["samples"] == 11
         cols = data["columns"]
         assert len(cols) == ncols
+        assert list(cols) == ["x", *FIGURE_COLUMNS[fid]]
         assert all(len(v) == 11 for v in cols.values())
 
     def test_magnitudes_are_nonnegative(self):

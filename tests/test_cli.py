@@ -3,17 +3,20 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import splinebound
 from splinebound.cli import (
     EXIT_CERTIFICATION,
     EXIT_OK,
     EXIT_TABLE_MISMATCH,
     EXIT_USAGE,
+    MAX_ORDER,
     build_parser,
     main,
 )
@@ -150,6 +153,14 @@ class TestUsage:
         code, _, _ = run_cli(capsys, "gen", "sin", "-2")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ("gen", "bounds", "codegen"))
+    def test_order_above_budget_rejected(self, capsys, command):
+        extra = ("lower",) if command == "bounds" else ()
+        code, out, err = run_cli(capsys, command, "sin", str(MAX_ORDER + 1), *extra)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.strip() == "error: order must be <= 64"
+
     def test_unknown_target(self, capsys):
         code, _, _ = run_cli(capsys, "gen", "tan", "1")
         assert code == EXIT_USAGE
@@ -217,11 +228,16 @@ class TestFuzz:
 
 class TestEntryPoint:
     def test_installed_script(self):
+        # the child imports the same package as this test, installed or not
+        src = os.path.dirname(os.path.dirname(splinebound.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "splinebound.cli", "gen", "sin", "1", "exact"],
             capture_output=True,
             text=True,
             timeout=120,
+            env=env,
         )
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
