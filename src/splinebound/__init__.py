@@ -2,7 +2,6 @@
 sin(x), sin(x)/x, cos(x) and the sine integral Si(x) on [0, pi/2]."""
 
 from .numerics import (
-    ExtReal,
     PiRational,
     Poly,
     Var,

@@ -24,7 +24,7 @@ from .bounds import (
     taylor_sine,
     zhu_bound,
 )
-from .numerics import DEFAULT_DIGITS, ExtReal, Poly, digits_for_bound, horner_eval
+from .numerics import DEFAULT_DIGITS, Poly, digits_for_bound, horner_eval
 from .series import sine_series
 
 DEFAULT_SAMPLES = 1000
@@ -32,25 +32,23 @@ DEFAULT_SAMPLES = 1000
 
 @dataclass(frozen=True)
 class Grid:
-    """Equally spaced sample points, inclusive of both endpoints."""
+    """Equally spaced sample points, inclusive of both endpoints, with the
+    precision `digits` the endpoints were computed for."""
 
-    left: ExtReal
-    right: ExtReal
+    left: mp.mpf
+    right: mp.mpf
     count: int
+    digits: int
 
     def __post_init__(self):
         if self.count < 2:
             raise ValueError("grid needs at least 2 points")
 
-    @property
-    def digits(self) -> int:
-        return max(self.left.digits, self.right.digits)
-
     def points(self, digits: int | None = None):
         digits = digits or self.digits
         with mp.workdps(digits + 10):
-            a = mp.mpf(self.left.value)
-            b = mp.mpf(self.right.value)
+            a = mp.mpf(self.left)
+            b = mp.mpf(self.right)
             step = (b - a) / (self.count - 1)
             pts = [a + i * step for i in range(self.count)]
             pts[-1] = b
@@ -58,7 +56,8 @@ class Grid:
 
 
 def half_pi_grid(count: int = DEFAULT_SAMPLES, digits: int = DEFAULT_DIGITS) -> Grid:
-    return Grid(ExtReal(0, digits), ExtReal.pi(digits) / 2, count)
+    with mp.workdps(digits + 10):
+        return Grid(mp.mpf(0), mp.pi / 2, count, digits)
 
 
 @dataclass(frozen=True)
@@ -87,11 +86,10 @@ def _si_value(x, digits: int) -> mp.mpf:
     """Si(x) to `digits` digits, summed once per (x, digits) and shared by
     every bound, table and figure that asks for it.
 
-    Keyed by the mpf value of x, never by an ExtReal (whose equality ignores
-    its digits); the series sets its own working precision, so the value
-    depends on nothing else.
+    Keyed by the mpf value of x; the series sets its own working precision,
+    so the value depends on nothing else.
     """
-    return si_reference(ExtReal(x, digits)).value
+    return si_reference(x, digits)
 
 
 def reference_for(target: str):
@@ -111,30 +109,30 @@ def reference_for(target: str):
     raise ValueError(f"unknown target {target!r}")
 
 
-def relative_error(approx: BoundFn, reference, x: ExtReal) -> ExtReal:
-    """re(x) = 1 - approx(x)/reference(x), with declared limits at x = 0."""
-    digits = x.digits
+def relative_error(approx: BoundFn, reference, x, digits: int) -> mp.mpf:
+    """re(x) = 1 - approx(x)/reference(x) at mpf x, computed at `digits`
+    working digits, with declared limits at x = 0."""
     with mp.workdps(digits + 10):
-        xv = mp.mpf(x.value)
+        xv = mp.mpf(x)
         if xv == 0 and approx.target in ("sin", "si"):
-            return ExtReal(1 - approx.ratio_at_zero(digits), digits)
+            return 1 - approx.ratio_at_zero(digits)
         ref = reference(xv, digits)
         if approx.target == "cos" and abs(ref) < mp.mpf(10) ** (-digits // 2):
             # x is within rounding distance of pi/2, where bound and cosine
             # share an exact zero: use the l'Hopital limit of the ratio
-            return ExtReal(1 - approx.ratio_at_half_pi(digits), digits)
+            return 1 - approx.ratio_at_half_pi(digits)
         if ref == 0:
             raise ZeroDivisionError("reference vanishes with no declared limit")
-        return ExtReal(1 - approx.eval_raw(xv, digits) / ref, digits)
+        return 1 - approx.eval_raw(xv, digits) / ref
 
 
 def _scan_once(approx: BoundFn, reference, grid: Grid, digits: int):
     with mp.workdps(digits + 10):
         values = []
         best = mp.mpf(0)
-        arg = mp.mpf(grid.left.value)
+        arg = mp.mpf(grid.left)
         for xv in grid.points(digits):
-            re = relative_error(approx, reference, ExtReal(xv, digits)).value
+            re = relative_error(approx, reference, xv, digits)
             values.append(re)
             if abs(re) > best:
                 best = abs(re)
@@ -220,7 +218,7 @@ def scale_check(f0_form: BoundFn, grid: Grid, digits: int | None = None) -> dict
     with mp.workdps(digits + 10):
         pi = +mp.pi
         for xv in grid.points(digits):
-            re_x = relative_error(f0_form, reference, ExtReal(xv, digits)).value
+            re_x = relative_error(f0_form, reference, xv, digits)
             t = 2 * xv / pi
             if t == 0:
                 re_t = re_x  # both use the same declared limit at 0
@@ -387,7 +385,8 @@ def _abs_re(build, xs, sins, digits: int) -> list:
     """|re| of the bound build() against its own reference."""
     bound = build()
     ref = reference_for(bound.target)
-    return [abs(relative_error(bound, ref, ExtReal(xv, digits)).value) for xv in xs]
+    with mp.workdps(digits + 10):
+        return [abs(relative_error(bound, ref, xv, digits)) for xv in xs]
 
 
 def _sin_minus(build, sign: int, xs, sins, digits: int) -> list:

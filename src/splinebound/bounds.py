@@ -14,7 +14,7 @@ from typing import Callable, Optional, Union
 
 import mpmath as mp
 
-from .numerics import ExtReal, PiRational, Poly, horner_eval
+from .numerics import PiRational, Poly, horner_eval
 from .series import order1_coefficients, order2_coefficients
 from .spline import reflect_half_pi, sine_spline
 
@@ -47,16 +47,13 @@ class BoundFn:
         with mp.workdps(digits + 10):
             return self.body(mp.mpf(x), digits)
 
-    def eval(self, x: ExtReal) -> ExtReal:
-        return ExtReal(self.eval_raw(x.value, x.digits), x.digits)
-
     def ratio_at_zero(self, digits: int):
         """lim body(x)/target(x) as x -> 0+, for removable singularities."""
         if self.zero_ratio is not None:
             return self.zero_ratio(digits)
         if self.target in ("sin", "si"):
             # target ~ x at 0; polynomial bodies here have zero constant term
-            return self.body.coeff(1).to_ext_real(digits).value
+            return self.body.coeff(1).to_ext_real(digits)
         # cos(0) = 1 and sinc(0) = 1: plain evaluation works
         return self.eval_raw(0, digits)
 
@@ -98,13 +95,9 @@ class BoundFn:
         }
         if isinstance(self.body, Poly):
             out["variable"] = self.body.variable.value
-            out["coefficients_exact"] = [
-                c.to_json_dict() if isinstance(c, PiRational) else None
-                for c in self.body.coefficients
-            ]
+            out["coefficients_exact"] = [c.to_json_dict() for c in self.body.coefficients]
             out["coefficients_decimal"] = [
-                c.to_ext_real(digits).to_decimal_string(digits)
-                for c in self.body.coefficients
+                c.to_decimal_string(digits) for c in self.body.coefficients
             ]
         return out
 
@@ -147,30 +140,20 @@ def sufficiency_check(K: int, digits: int = 50) -> SufficiencyCertificate:
     d = order2_coefficients(K + 1).coeffs
     digits = max(digits, 50)
     margins = tuple(c[k] - 2 * d[k + 1] for k in range(2, K + 1))
-    all_pos = all(m.to_ext_real(digits).value > 0 for m in margins)
+    all_pos = all(m.to_ext_real(digits) > 0 for m in margins)
     return SufficiencyCertificate(K=K, margins=margins, all_positive=all_pos)
 
 
+@lru_cache(maxsize=256)
 def reflect_to_cos(b: BoundFn) -> BoundFn:
     """Map a sin bound to the cos bound obtained by the x -> pi/2 - y substitution.
 
-    A bound with exact coefficients is reflected once per value and the
-    result shared.  ExtReal coefficients compare and hash by value alone,
-    whatever their digits, so a bound holding them is reflected afresh
-    rather than matched against an entry made at other digits.
+    Reflected once per value of the bound (its coefficients are exact, so
+    equal values are equal bounds) and the result shared.
     """
     if b.target != "sin" or not isinstance(b.body, Poly):
         raise ValueError("reflection applies to polynomial sin bounds")
-    if all(isinstance(c, PiRational) for c in b.body.coefficients):
-        return _reflect_exact(b)
-    return _reflect(b)
-
-
-def _reflect(b: BoundFn) -> BoundFn:
     return BoundFn(b.family, b.order, b.direction, "cos", reflect_half_pi(b.body))
-
-
-_reflect_exact = lru_cache(maxsize=256)(_reflect)
 
 
 @cache
@@ -181,8 +164,9 @@ def si_lower(n: int) -> BoundFn:
     return BoundFn("spline", n, "lower", "si", integrate_over_lambda(sine_spline(n).poly))
 
 
-def si_reference(x: ExtReal, digits: int | None = None) -> ExtReal:
-    """Si(x) by its alternating power series, correct to the requested digits.
+def si_reference(x, digits: int) -> mp.mpf:
+    """Si(x) at mpf x >= 0 by its alternating power series, correct to
+    `digits` digits and rounded to digits + 10.
 
     Truncated when the next term drops below 10^(-digits-5); the alternating
     remainder bound then guarantees the stated accuracy.  Each term's
@@ -190,9 +174,8 @@ def si_reference(x: ExtReal, digits: int | None = None) -> ExtReal:
     (-1)^k; rounding to nearest is sign-symmetric, so this is the same sum
     as rounding each signed term.
     """
-    digits = digits or x.digits
     with mp.workdps(digits + 15):
-        xv = mp.mpf(x.value)
+        xv = mp.mpf(x)
         if xv < 0:
             raise ValueError("Si reference is defined for x >= 0 here")
         cutoff = mp.mpf(10) ** (-digits - 5)
@@ -205,7 +188,8 @@ def si_reference(x: ExtReal, digits: int | None = None) -> ExtReal:
             mag = xv ** (2 * k + 1) / ((2 * k + 1) * factorial(2 * k + 1))
             if mag < cutoff:
                 break
-        return ExtReal(total, digits)
+    with mp.workdps(digits + 10):
+        return +total
 
 
 # -- Taylor reference ------------------------------------------------------
@@ -250,7 +234,7 @@ def zhu_bound(n: int, direction: str) -> BoundFn:
         with mp.workdps(digits + 10):
             pi = mp.pi
             u = pi**2 - 4 * mp.mpf(x) ** 2
-            av = [a.to_ext_real(digits).value for a in alpha]
+            av = [a.to_ext_real(digits) for a in alpha]
             acc = mp.mpf(0)
             for k in range(n + 1):
                 acc += av[k] * u**k

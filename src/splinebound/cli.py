@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -26,7 +27,7 @@ from .bounds import (
     sine_lower,
     sine_upper,
 )
-from .numerics import DEFAULT_DIGITS, ExtReal, PiRational, Poly
+from .numerics import DEFAULT_DIGITS, PiRational, Poly
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,6 +37,15 @@ EXIT_TABLE_MISMATCH = 3
 # A cold exact build grows about as order^3, so an unchecked order can run
 # for hours; the published tables go up to order 32.
 MAX_ORDER = 64
+
+# (argument, least, largest value): anything outside is a usage error found
+# before any work starts, so no request runs without bound
+LIMITS = (
+    ("--precision", 10, 1000),
+    ("--samples", 2, 100000),
+    ("order", 0, MAX_ORDER),
+    ("--digits", 1, 1000),
+)
 
 
 def _nstr(value, digits: int) -> str:
@@ -76,22 +86,19 @@ def cmd_gen(args) -> int:
         payload["coefficients_exact"] = [c.to_json_dict() for c in poly.coefficients]
     if args.form in ("decimal", "both"):
         payload["coefficients_decimal"] = [
-            c.to_ext_real(args.digits).to_decimal_string(args.digits)
-            for c in poly.coefficients
+            c.to_decimal_string(args.digits) for c in poly.coefficients
         ]
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["power", "decimal"])
         for k, c in enumerate(poly.coefficients):
-            writer.writerow([k, c.to_ext_real(args.digits).to_decimal_string(args.digits)])
+            writer.writerow([k, c.to_decimal_string(args.digits)])
         _emit(buf.getvalue(), args.out)
     elif args.format == "text":
         lines = [f"{args.target} spline approximant, order {args.order}"]
         for k, c in enumerate(poly.coefficients):
-            lines.append(
-                f"  x^{k}: {c.to_ext_real(args.digits).to_decimal_string(args.digits)}"
-            )
+            lines.append(f"  x^{k}: {c.to_decimal_string(args.digits)}")
         _emit("\n".join(lines) + "\n", args.out)
     else:
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -193,25 +200,24 @@ def cmd_figure(args) -> int:
     return EXIT_OK
 
 
-def _round_coefficient(c: PiRational, digits: int) -> mp.mpf:
+def _round_coefficient(c: PiRational, digits: int) -> str:
     # round-half-even at `digits` significant decimal digits
+    v = c.to_ext_real(digits + 15)
+    if v == 0:
+        return "0"
     with mp.workdps(digits + 20):
-        v = c.to_ext_real(digits + 15).value
-        if v == 0:
-            return mp.mpf(0)
-        s = mp.nstr(v, digits, strip_zeros=False)
-        return mp.mpf(s)
+        return mp.nstr(v, digits, strip_zeros=False)
 
 
 def cmd_codegen(args) -> int:
     poly = _bound_for(args.target, args.order, "lower").body
     digits = args.digits
     rounded = [_round_coefficient(c, digits) for c in poly.coefficients]
-    with mp.workdps(digits + 20):
-        rounded_poly = Poly(
-            [ExtReal(v, digits + 15) for v in rounded], poly.variable
-        )
-    kernel = BoundFn("kernel", args.order, "approximation", args.target, rounded_poly)
+    # the kernel is exactly the rational numbers it prints
+    kernel_poly = Poly(
+        [PiRational.from_rational(Fraction(s)) for s in rounded], poly.variable
+    )
+    kernel = BoundFn("kernel", args.order, "approximation", args.target, kernel_poly)
     expected = analysis.TABLE_3_1 if args.target in ("sin", "cos") else analysis.TABLE_5_2
     hint = expected.get(args.order, 1e-20)
     scan_digits = analysis.digits_for_bound(hint)
@@ -224,7 +230,7 @@ def cmd_codegen(args) -> int:
         "order": args.order,
         "domain": ["0", "pi/2"],
         "rounding": f"round-half-even, {digits} significant digits per coefficient",
-        "horner_coefficients": [_nstr(v, digits) if v != 0 else "0" for v in rounded],
+        "horner_coefficients": [_nstr(s, digits) if s != "0" else "0" for s in rounded],
         "certified_re_bound": _nstr(report.re_bound, 6),
         "samples": args.samples,
     }
@@ -287,21 +293,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if args.precision < 10:
-        print("error: --precision must be >= 10", file=sys.stderr)
-        return EXIT_USAGE
-    if args.samples < 2:
-        print("error: --samples must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "order", 0) < 0:
-        print("error: order must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "order", 0) > MAX_ORDER:
-        print(f"error: order must be <= {MAX_ORDER}", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "digits", 1) < 1:
-        print("error: --digits must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+    for name, least, largest in LIMITS:
+        value = getattr(args, name.lstrip("-"), None)
+        if value is not None and not least <= value <= largest:
+            rule = f">= {least}" if value < least else f"<= {largest}"
+            print(f"error: {name} must be {rule}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.fn(args)
     except ValueError as exc:

@@ -1,9 +1,11 @@
-"""Exact pi-rational scalars, precision-tagged reals and dense polynomials.
+"""Exact pi-rational scalars and dense polynomials over them.
 
 Every closed-form coefficient handled by this package is a finite sum
 sum_j q_j * pi**j with rational q_j and integer j (negative powers allowed).
-`PiRational` stores that sum exactly; `ExtReal` carries an mpmath value
-together with the number of significant decimal digits it is good for.
+`PiRational` stores that sum exactly.  A real at a precision is an mpmath
+`mpf` passed together with `digits`, the number of significant decimal
+digits it is wanted to; the code that uses the pair works at
+`mp.workdps(digits + 10)`.
 """
 
 from __future__ import annotations
@@ -13,16 +15,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 import mpmath as mp
-
-_PI_CACHE: dict[int, mp.mpf] = {}
-
-
-def pi_to_digits(digits: int) -> mp.mpf:
-    """pi correct to `digits` significant decimal digits, cached per context."""
-    if digits not in _PI_CACHE:
-        with mp.workdps(digits + 10):
-            _PI_CACHE[digits] = +mp.pi
-    return _PI_CACHE[digits]
 
 
 class PiRational:
@@ -146,8 +138,10 @@ class PiRational:
 
     # -- conversion --------------------------------------------------------
 
-    def to_ext_real(self, digits: int) -> "ExtReal":
-        """Decimal value correct to `digits` significant digits.
+    def to_ext_real(self, digits: int) -> mp.mpf:
+        """The value as an mpf for `digits` significant digits: summed at
+        digits + 15 and rounded to digits + 10.  Terms that cancel by more
+        than 15 digits leave fewer correct digits (README, known limitation).
 
         Converted once per `digits` and kept on the instance: the value
         depends only on `terms` and `digits`, since the conversion sets its
@@ -164,9 +158,15 @@ class PiRational:
                 total = mp.mpf(0)
                 for j, q in self.terms.items():
                     total += mp.mpf(q.numerator) / q.denominator * pi**j
-                value = +total
-            out = self._converted[digits] = ExtReal(value, digits)
+            with mp.workdps(digits + 10):
+                out = self._converted[digits] = +total
         return out
+
+    def to_decimal_string(self, digits: int) -> str:
+        """`digits` significant decimal digits of the value, zeros kept."""
+        value = self.to_ext_real(digits)
+        with mp.workdps(digits + 5):
+            return mp.nstr(value, digits, strip_zeros=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -184,112 +184,6 @@ class PiRational:
                 for t in data["terms"]
             }
         )
-
-
-class ExtReal:
-    """Arbitrary-precision real tagged with its significant-digit context.
-
-    Arithmetic between two ExtReal values is carried out at the larger of the
-    two contexts; the context travels with the value, there is no global
-    precision state.
-    """
-
-    __slots__ = ("value", "digits")
-
-    def __init__(self, value, digits: int):
-        if digits < 1:
-            raise ValueError("digits must be >= 1")
-        self.digits = int(digits)
-        with mp.workdps(self.digits + 10):
-            self.value = mp.mpf(value)
-
-    @classmethod
-    def pi(cls, digits: int) -> "ExtReal":
-        return cls(pi_to_digits(digits), digits)
-
-    def _binop(self, other, fn):
-        if isinstance(other, ExtReal):
-            digits = max(self.digits, other.digits)
-            ov = other.value
-        elif isinstance(other, (int, Fraction, float, mp.mpf)):
-            digits = self.digits
-            ov = other
-        elif isinstance(other, PiRational):
-            digits = self.digits
-            ov = other.to_ext_real(digits).value
-        else:
-            return NotImplemented
-        with mp.workdps(digits + 10):
-            if isinstance(ov, Fraction):
-                ov = mp.mpf(ov.numerator) / ov.denominator
-            return ExtReal(fn(self.value, mp.mpf(ov)), digits)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binop(other, lambda a, b: b / a)
-
-    def __pow__(self, n):
-        return self._binop(n, lambda a, b: a**b)
-
-    def __neg__(self):
-        return ExtReal(-self.value, self.digits)
-
-    def __abs__(self):
-        return ExtReal(abs(self.value), self.digits)
-
-    def _cmp_value(self, other):
-        return other.value if isinstance(other, ExtReal) else other
-
-    def __lt__(self, other):
-        return self.value < self._cmp_value(other)
-
-    def __le__(self, other):
-        return self.value <= self._cmp_value(other)
-
-    def __gt__(self, other):
-        return self.value > self._cmp_value(other)
-
-    def __ge__(self, other):
-        return self.value >= self._cmp_value(other)
-
-    def __eq__(self, other):
-        return self.value == self._cmp_value(other)
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __float__(self):
-        return float(self.value)
-
-    def __repr__(self):
-        return f"ExtReal({mp.nstr(self.value, min(self.digits, 20))}, digits={self.digits})"
-
-    def to_ext_real(self, digits: int) -> "ExtReal":
-        """This value itself, unrounded: it already carries its own context."""
-        return self
-
-    def to_decimal_string(self, digits: int | None = None) -> str:
-        d = digits or self.digits
-        with mp.workdps(d + 5):
-            return mp.nstr(self.value, d, strip_zeros=False)
 
 
 DEFAULT_DIGITS = 50
@@ -311,22 +205,19 @@ class Var(enum.Enum):
     T_ON_0_1 = "t"  # t = 2x/pi on [0, 1]
 
 
-Coeff = Union[PiRational, ExtReal]
-
-
 class Poly:
     """Dense univariate polynomial tagged with its variable convention.
 
-    Coefficients are PiRational (exact path) or ExtReal, held in a tuple
+    Coefficients are PiRational, held in a tuple
     because one Poly can be shared by every caller (`sine_spline` memoises
     its result); trailing zeros are trimmed so the degree is canonical.
     """
 
     __slots__ = ("coefficients", "variable")
 
-    def __init__(self, coefficients: Iterable[Coeff], variable: Var = Var.X_ON_0_HALFPI):
+    def __init__(self, coefficients: Iterable[PiRational], variable: Var = Var.X_ON_0_HALFPI):
         coeffs = list(coefficients)
-        while coeffs and _is_zero(coeffs[-1]):
+        while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         self.coefficients = tuple(coeffs)
         self.variable = variable
@@ -335,7 +226,7 @@ class Poly:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def coeff(self, power: int) -> Coeff:
+    def coeff(self, power: int) -> PiRational:
         if 0 <= power < len(self.coefficients):
             return self.coefficients[power]
         return PiRational.zero()
@@ -366,7 +257,7 @@ class Poly:
             return Poly([], self.variable)
         out = [PiRational.zero() for _ in range(self.degree + other.degree + 1)]
         for i, a in enumerate(self.coefficients):
-            if _is_zero(a):
+            if a.is_zero():
                 continue
             for j, b in enumerate(other.coefficients):
                 out[i + j] = out[i + j] + a * b
@@ -416,30 +307,20 @@ class Poly:
         """Exact evaluation at a pi-rational point."""
         out = PiRational.zero()
         for c in reversed(self.coefficients):
-            if not isinstance(c, PiRational):
-                raise TypeError("eval_exact requires PiRational coefficients")
             out = out * x + c
         return out
-
-
-def _is_zero(c: Coeff) -> bool:
-    if isinstance(c, PiRational):
-        return c.is_zero()
-    if isinstance(c, ExtReal):
-        return c.value == 0
-    return c == 0
 
 
 def horner_eval(p: Poly, x, digits: int) -> mp.mpf:
     """Nested-multiplication value of p at x, computed at `digits` working digits.
 
-    Each coefficient is read at that context through its `to_ext_real`.
+    Each coefficient is read at that precision through its `to_ext_real`.
     """
     with mp.workdps(digits + 10):
         x = mp.mpf(x)
         acc = mp.mpf(0)
         for c in reversed(p.coefficients):
-            acc = acc * x + c.to_ext_real(digits).value
+            acc = acc * x + c.to_ext_real(digits)
         return acc
 
 
@@ -451,9 +332,9 @@ def integrate_over_lambda(p: Poly) -> Poly:
     """
     if p.variable is not Var.X_ON_0_HALFPI:
         raise ValueError("integration is defined for the x-on-[0, pi/2] convention")
-    if p.coefficients and not _is_zero(p.coeff(0)):
+    if p.coefficients and not p.coeff(0).is_zero():
         raise ValueError("nonzero constant term: integrand singular at 0")
-    out: list[Coeff] = [PiRational.zero()]
+    out = [PiRational.zero()]
     for k in range(1, len(p.coefficients)):
         out.append(p.coeff(k) * Fraction(1, k))
     return Poly(out, p.variable)

@@ -15,7 +15,7 @@ from math import factorial
 
 import mpmath as mp
 
-from .numerics import ExtReal, PiRational, Poly, Var
+from .numerics import PiRational, Poly, Var
 
 # exponent patterns, by residue of k mod 4
 _ORDER1_START = 2
@@ -130,18 +130,18 @@ class ErrorSeries:
         )
 
 
-def eval_error_series(series: ErrorSeries, t: ExtReal, terms: int) -> ExtReal:
-    """Partial sum of `terms` structural terms starting at the series start.
+def eval_error_series(series: ErrorSeries, t, digits: int, terms: int) -> mp.mpf:
+    """Partial sum of `terms` structural terms starting at the series start,
+    at mpf t computed at `digits` working digits.
 
     Exactly 0 at t = 0 and t = 1.
     """
-    digits = t.digits
     with mp.workdps(digits + 10):
-        tv = t.value
+        tv = mp.mpf(t)
         if tv < 0 or tv > 1:
             raise ValueError("t must lie in [0, 1]")
         if tv == 0 or tv == 1:
-            return ExtReal(0, digits)
+            return mp.mpf(0)
         one_minus = 1 - tv
         acc = mp.mpf(0)
         for k in range(series.start_index, series.start_index + terms):
@@ -149,9 +149,9 @@ def eval_error_series(series: ErrorSeries, t: ExtReal, terms: int) -> ExtReal:
                 raise ValueError(
                     f"series holds coefficients to k={series.max_index()}, need {k}"
                 )
-            ck = series.coeffs[k].to_ext_real(digits).value
+            ck = series.coeffs[k].to_ext_real(digits)
             acc += ck * tv**k * one_minus ** series.exponent(k)
-        return ExtReal(acc, digits)
+        return acc
 
 
 # -- sine series derived from the error series -----------------------------
@@ -209,7 +209,7 @@ class SineSeries:
                 acc = 1 - pi**2 / 8 * u**2
                 k0 = 0
             for k in range(k0, n_terms + 1):
-                ck = self.term_coefficient(k).to_ext_real(digits).value
+                ck = self.term_coefficient(k).to_ext_real(digits)
                 acc += ck * t**k * u ** self.exponent(k)
             return acc
 
@@ -222,11 +222,11 @@ def sine_series(variant: str, n_terms: int) -> SineSeries:
     raise ValueError("variant must be 'order1' or 'order2'")
 
 
-def sine_series_eval(variant: str, x: ExtReal, n_terms: int) -> ExtReal:
-    """Head terms plus series terms k <= n_terms, at x's precision context.
+def sine_series_eval(variant: str, x, digits: int, n_terms: int) -> mp.mpf:
+    """Head terms plus series terms k <= n_terms at mpf x, computed at
+    `digits` working digits.
 
     The term count convention matches the published tables: n counts the
     upper summation index (k = 1..n for order 1, k = 0..n for order 2).
     """
-    s = sine_series(variant, n_terms)
-    return ExtReal(s.eval(x.value, x.digits, n_terms), x.digits)
+    return sine_series(variant, n_terms).eval(x, digits, n_terms)

@@ -29,7 +29,7 @@ from splinebound.bounds import (
     sine_upper,
     sufficiency_check,
 )
-from splinebound.numerics import ExtReal, Poly, Var, digits_for_bound, horner_eval
+from splinebound.numerics import Poly, Var, digits_for_bound, horner_eval
 from splinebound.series import order1_coefficients, order2_coefficients
 from splinebound.spline import HALF_PI, cosine_spline, sine_spline
 from splinebound.numerics import PiRational
@@ -89,7 +89,7 @@ def test_criterion_6_recurrences():
     ok = ok and all(s2.coeffs[k] == v for k, v in ORDER2_CLOSED.items())
     for series, decimals in ((s1, ORDER1_DECIMALS), (s2, ORDER2_DECIMALS)):
         for k, expected in decimals.items():
-            got = float(series.coeffs[k].to_ext_real(20).value)
+            got = float(series.coeffs[k].to_ext_real(20))
             # the stated decimals carry 5-6 significant figures
             ok = ok and abs(got - expected) <= 1e-4 * abs(expected)
     assert report(6, "coefficient recurrences", ok)
@@ -100,7 +100,7 @@ def _suite_a():
         s = build(60)
         prev = None
         for k in range(start, 61):
-            v = s.coeffs[k].to_ext_real(160).value
+            v = s.coeffs[k].to_ext_real(160)
             if v <= 0 or (prev is not None and v >= prev):
                 return False
             prev = v
@@ -134,12 +134,10 @@ def _suite_d():
             spline = sine_spline(order).poly
             for i in range(101):
                 t = mp.mpf(i) / 100
-                x = ExtReal(mp.pi * t / 2, digits)
-                approx = eval_error_series(
-                    series, ExtReal(t, digits), 119 - series.start_index
-                )
-                truth = mp.sin(x.value) - horner_eval(spline, x.value, x.digits)
-                if abs(approx.value - truth) >= mp.mpf(10) ** (-25):
+                x = mp.pi * t / 2
+                approx = eval_error_series(series, t, digits, 119 - series.start_index)
+                truth = mp.sin(x) - horner_eval(spline, x, digits)
+                if abs(approx - truth) >= mp.mpf(10) ** (-25):
                     return False
     return True
 
@@ -208,18 +206,10 @@ ROUNDED_KERNELS = [
 
 
 def _rounded_re_bound(coeff_specs, expected):
+    # each printed coefficient is exactly the rational number it spells
     digits = digits_for_bound(expected)
-    with mp.workdps(digits + 20):
-        coeffs = [
-            ExtReal(
-                mp.mpf(c)
-                if isinstance(c, str)
-                else mp.mpf(c.numerator) / c.denominator,
-                digits + 10,
-            )
-            for c in coeff_specs
-        ]
-        poly = Poly(coeffs, Var.X_ON_0_HALFPI)
+    coeffs = [PiRational.from_rational(Fraction(c)) for c in coeff_specs]
+    poly = Poly(coeffs, Var.X_ON_0_HALFPI)
     kernel = BoundFn("kernel", 0, "approximation", "sin", poly)
     rep = re_bound_scan(
         kernel, reference_for("sin"), half_pi_grid(SAMPLES, digits), digits

@@ -17,7 +17,6 @@ from splinebound.analysis import (
     TABLE_3_1,
 )
 from splinebound.bounds import sine_lower, sine_upper
-from splinebound.numerics import ExtReal
 
 
 class TestGrid:
@@ -32,31 +31,39 @@ class TestGrid:
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
-            Grid(ExtReal(0, 30), ExtReal(1, 30), 1)
+            Grid(mp.mpf(0), mp.mpf(1), 1, 30)
+
+    def test_half_pi_to_any_precision(self):
+        g = half_pi_grid(5, 80)
+        assert g.digits == 80
+        with mp.workdps(90):
+            assert g.left == 0
+            assert abs(g.right - mp.pi / 2) < mp.mpf(10) ** (-78)
+            assert g.points()[-1] == g.right
 
 
 class TestRelativeError:
     def test_zero_limit_for_sin_target(self):
         # the spline has unit slope at 0, so the limit of re is 0
         b = sine_lower(2)
-        v = relative_error(b, reference_for("sin"), ExtReal(0, 30))
-        assert float(v.value) == 0.0
+        v = relative_error(b, reference_for("sin"), mp.mpf(0), 30)
+        assert v == 0
 
     def test_zero_limit_zeroth_order(self):
         # the order-0 chord has slope 2/pi: re(0) = 1 - 2/pi
         b = sine_lower(0)
-        v = relative_error(b, reference_for("sin"), ExtReal(0, 30))
+        v = relative_error(b, reference_for("sin"), mp.mpf(0), 30)
         with mp.workdps(40):
-            assert abs(v.value - (1 - 2 / mp.pi)) < mp.mpf(10) ** (-28)
+            assert abs(v - (1 - 2 / mp.pi)) < mp.mpf(10) ** (-28)
 
     def test_interior_value(self):
         digits = 30
         b = sine_lower(1)
         with mp.workdps(digits + 10):
-            x = ExtReal(mp.pi / 4, digits)
-            v = relative_error(b, reference_for("sin"), x)
-            direct = 1 - b.eval(x).value / mp.sin(x.value)
-            assert abs(v.value - direct) < mp.mpf(10) ** (-digits + 5)
+            x = mp.pi / 4
+            v = relative_error(b, reference_for("sin"), x, digits)
+            direct = 1 - b.eval_raw(x, digits) / mp.sin(x)
+            assert abs(v - direct) < mp.mpf(10) ** (-digits + 5)
 
 
 class TestReBoundScan:
@@ -211,6 +218,15 @@ class TestFigures:
             if name == "x":
                 continue
             assert all(v >= 0 for v in vals)
+
+    def test_abs_re_keeps_working_precision(self):
+        # |re| is taken at digits + 10, like the values it comes from: a
+        # 50-digit figure carries about 200-bit mantissas, not 53-bit ones
+        data = figure_data("3", half_pi_grid(5, 50))
+        assert data["digits"] == 50
+        for name, vals in data["columns"].items():
+            for v in vals[1:-1]:  # re is 0 or rounding noise at 0 and pi/2
+                assert v._mpf_[3] > 150, (name, v._mpf_[3])
 
     def test_unknown_figure(self):
         with pytest.raises(ValueError):

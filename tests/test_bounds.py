@@ -17,7 +17,7 @@ from splinebound.bounds import (
     zhu_alpha,
     zhu_bound,
 )
-from splinebound.numerics import ExtReal, PiRational
+from splinebound.numerics import PiRational
 from splinebound.spline import sine_spline
 
 from fixtures_exact import F2_UPPER, G2_UPPER, SI_SPLINES, ZHU_EXPLICIT
@@ -49,10 +49,10 @@ class TestUpperConstruction:
                 lo_n = sine_lower(n)
                 lo_m = sine_lower(n - 1)
                 for i in (1, 3, 7):
-                    x = ExtReal(mp.pi * i / 16, digits)
-                    s = mp.sin(x.value)
-                    lhs = s - up.eval(x).value
-                    rhs = 2 * (s - lo_n.eval(x).value) - (s - lo_m.eval(x).value)
+                    x = mp.pi * i / 16
+                    s = mp.sin(x)
+                    lhs = s - up.eval_raw(x, digits)
+                    rhs = 2 * (s - lo_n.eval_raw(x, digits)) - (s - lo_m.eval_raw(x, digits))
                     assert abs(lhs - rhs) < mp.mpf(10) ** (-digits + 5)
 
 
@@ -65,7 +65,7 @@ class TestSufficiency:
     def test_first_margin_value(self):
         cert = sufficiency_check(3)
         # c_2 - 2 d_3 = (pi - 3) - 2(-10 + 3 pi + pi^2/8 - pi^3/48)
-        first = cert.margins[0].to_ext_real(20).value
+        first = cert.margins[0].to_ext_real(20)
         with mp.workdps(30):
             expected = (mp.pi - 3) - 2 * (
                 -10 + 3 * mp.pi + mp.pi**2 / 8 - mp.pi**3 / 48
@@ -82,17 +82,18 @@ class TestSineIntegral:
         digits = 50
         with mp.workdps(digits + 10):
             for xv in (mp.mpf("0.25"), mp.mpf(1), mp.pi / 2):
-                ours = si_reference(ExtReal(xv, digits)).value
+                ours = si_reference(xv, digits)
                 lib = mp.si(xv)
                 assert abs(ours - lib) < mp.mpf(10) ** (-digits + 2)
 
     def test_reference_known_value(self):
-        v = si_reference(ExtReal.pi(30) / 2)
-        assert abs(float(v.value) - 1.3707621681544881) < 1e-14
+        with mp.workdps(40):
+            v = si_reference(mp.pi / 2, 30)
+        assert abs(float(v) - 1.3707621681544881) < 1e-14
 
     def test_reference_rejects_negative(self):
         with pytest.raises(ValueError):
-            si_reference(ExtReal(-1, 30))
+            si_reference(mp.mpf(-1), 30)
 
     def test_lower_bound_holds(self):
         digits = 40
@@ -100,8 +101,8 @@ class TestSineIntegral:
             for n in (1, 2, 3, 4):
                 h = si_lower(n)
                 for i in (1, 4, 7):
-                    x = ExtReal(mp.pi * i / 16, digits)
-                    assert h.eval(x).value < mp.si(x.value)
+                    x = mp.pi * i / 16
+                    assert h.eval_raw(x, digits) < mp.si(x)
 
     def test_lv_bound_holds(self):
         digits = 40
@@ -109,8 +110,8 @@ class TestSineIntegral:
         assert float(b.ratio_at_zero(digits)) == 1.0
         with mp.workdps(digits + 10):
             for i in (1, 3, 5, 7):
-                x = ExtReal(mp.pi * i / 16, digits)
-                assert b.eval(x).value < mp.si(x.value)
+                x = mp.pi * i / 16
+                assert b.eval_raw(x, digits) < mp.si(x)
 
 
 class TestOrderingChain:
@@ -118,13 +119,13 @@ class TestOrderingChain:
         digits = 40
         with mp.workdps(digits + 10):
             for i in (1, 4, 7):
-                x = ExtReal(mp.pi * i / 16, digits)
-                s = mp.sin(x.value)
-                f1 = sine_lower(1).eval(x).value
-                f2 = sine_lower(2).eval(x).value
-                f3 = sine_lower(3).eval(x).value
-                u3 = sine_upper(3).eval(x).value
-                u2 = sine_upper(2).eval(x).value
+                x = mp.pi * i / 16
+                s = mp.sin(x)
+                f1 = sine_lower(1).eval_raw(x, digits)
+                f2 = sine_lower(2).eval_raw(x, digits)
+                f3 = sine_lower(3).eval_raw(x, digits)
+                u3 = sine_upper(3).eval_raw(x, digits)
+                u2 = sine_upper(2).eval_raw(x, digits)
                 assert f1 < f2 < f3 < s < u3 < u2
 
 
@@ -138,11 +139,11 @@ class TestTaylor:
     def test_directions_hold_numerically(self):
         digits = 30
         with mp.workdps(digits + 10):
-            x = ExtReal(mp.mpf(1), digits)
+            x = mp.mpf(1)
             s = mp.sin(1)
             for order in (1, 3, 5, 7, 9):
                 b = taylor_sine(order)
-                v = b.eval(x).value
+                v = b.eval_raw(x, digits)
                 if b.direction == "upper":
                     assert v > s
                 else:
@@ -171,10 +172,10 @@ class TestZhu:
                     for xv in (mp.mpf("0.3"), mp.mpf(1), mp.mpf("1.5")):
                         u = mp.pi**2 - 4 * xv**2
                         expected = sum(
-                            c.to_ext_real(digits).value * u**k
+                            c.to_ext_real(digits) * u**k
                             for k, c in enumerate(coeffs)
                         )
-                        got = b.eval(ExtReal(xv, digits)).value
+                        got = b.eval_raw(xv, digits)
                         assert abs(got - expected) < mp.mpf(10) ** (-digits + 5)
 
     def test_brackets_sinc(self):
@@ -184,18 +185,18 @@ class TestZhu:
                 lo = zhu_bound(n, "lower")
                 hi = zhu_bound(n, "upper")
                 for i in (1, 4, 7):
-                    x = ExtReal(mp.pi * i / 16, digits)
-                    sinc = mp.sin(x.value) / x.value
-                    assert lo.eval(x).value < sinc < hi.eval(x).value
+                    x = mp.pi * i / 16
+                    sinc = mp.sin(x) / x
+                    assert lo.eval_raw(x, digits) < sinc < hi.eval_raw(x, digits)
 
     def test_sharp_at_endpoints(self):
         # u = 0 at x = pi/2: every form collapses to 2/pi = sinc(pi/2)
         digits = 40
         with mp.workdps(digits + 10):
-            x = ExtReal.pi(digits) / 2
+            x = mp.pi / 2
             for n in (0, 1, 2):
                 for d in ("lower", "upper"):
-                    v = zhu_bound(n, d).eval(x).value
+                    v = zhu_bound(n, d).eval_raw(x, digits)
                     assert abs(v - 2 / mp.pi) < mp.mpf(10) ** (-digits + 5)
 
 
@@ -207,14 +208,14 @@ class TestCatalog:
         with mp.workdps(digits + 10):
             for b in cat:
                 for i in (1, 3, 5, 7):
-                    x = ExtReal(mp.pi * i / 16, digits)
+                    x = mp.pi * i / 16
                     if b.target == "sinc":
-                        truth = mp.sin(x.value) / x.value
+                        truth = mp.sin(x) / x
                     elif b.target == "si":
-                        truth = mp.si(x.value)
+                        truth = mp.si(x)
                     else:
-                        truth = mp.sin(x.value)
-                    v = b.eval(x).value
+                        truth = mp.sin(x)
+                    v = b.eval_raw(x, digits)
                     tol = mp.mpf(10) ** (-digits + 8)
                     if b.direction == "lower":
                         assert v <= truth + tol, (b.family, b.direction, i)
@@ -226,7 +227,7 @@ class TestCatalog:
         cat = {(b.family, b.direction): b for b in baseline_catalog()}
         b = cat[("table11_3", "lower")]
         with mp.workdps(digits + 10):
-            v = b.eval(ExtReal.pi(digits) / 2).value
+            v = b.eval_raw(mp.pi / 2, digits)
             assert abs(v - 2 / mp.pi) < mp.mpf(10) ** (-digits + 5)
 
 
@@ -236,11 +237,11 @@ class TestBoundFnInterface:
         b = sine_lower(2).as_sinc()
         assert b.target == "sinc"
         with mp.workdps(digits + 10):
-            at0 = b.eval(ExtReal(0, digits)).value
+            at0 = b.eval_raw(mp.mpf(0), digits)
             assert abs(at0 - 1) < mp.mpf(10) ** (-digits + 5)
-            x = ExtReal(mp.mpf(1), digits)
-            direct = sine_lower(2).eval(x).value
-            assert abs(b.eval(x).value - direct / 1) < mp.mpf(10) ** (-digits + 5)
+            x = mp.mpf(1)
+            direct = sine_lower(2).eval_raw(x, digits)
+            assert abs(b.eval_raw(x, digits) - direct / 1) < mp.mpf(10) ** (-digits + 5)
 
     def test_as_sinc_rejects_non_sin(self):
         with pytest.raises(ValueError):
@@ -268,8 +269,7 @@ class TestDirectionProperties:
         digits = 30
         with mp.workdps(digits + 10):
             xv = mp.pi / 2 * num / 64
-            x = ExtReal(xv, digits)
-            v = sine_lower(n).eval(x).value
+            v = sine_lower(n).eval_raw(xv, digits)
             assert v <= mp.sin(xv) + mp.mpf(10) ** (-digits + 8)
 
     @given(
@@ -281,6 +281,5 @@ class TestDirectionProperties:
         digits = 30
         with mp.workdps(digits + 10):
             xv = mp.pi / 2 * num / 64
-            x = ExtReal(xv, digits)
-            v = sine_upper(n).eval(x).value
+            v = sine_upper(n).eval_raw(xv, digits)
             assert v >= mp.sin(xv) - mp.mpf(10) ** (-digits + 8)

@@ -8,6 +8,7 @@ once.  Each test compares `_mpf_` tuples (or ==) against a fresh
 computation or a reference kept here.
 """
 
+from fractions import Fraction
 from math import factorial
 
 import mpmath as mp
@@ -28,9 +29,15 @@ from splinebound.bounds import (
     sine_lower,
     sine_upper,
 )
-from splinebound.numerics import ExtReal, PiRational, Poly
+from splinebound.cli import _round_coefficient
+from splinebound.numerics import PiRational, Poly
 from splinebound.series import sine_series
-from splinebound.spline import sine_endpoint_data, sine_spline, two_point_spline
+from splinebound.spline import (
+    reflect_half_pi,
+    sine_endpoint_data,
+    sine_spline,
+    two_point_spline,
+)
 
 
 def fresh_copy(p: PiRational) -> PiRational:
@@ -44,8 +51,7 @@ def test_conversion_cached_per_precision():
     for digits in (90, 50, 90):
         got = p.to_ext_real(digits)
         want = fresh_copy(p).to_ext_real(digits)
-        assert got.digits == want.digits == digits
-        assert got.value._mpf_ == want.value._mpf_
+        assert got._mpf_ == want._mpf_
     assert p.to_ext_real(90) is first
 
 
@@ -95,21 +101,25 @@ def test_reflection_shared_by_value():
 
 
 def test_reflection_of_decimal_body_keeps_its_digits():
-    # the same decimal values tagged with 20 and 60 digits compare equal,
-    # since ExtReal equality ignores digits: a memo keyed on such a body
-    # would hand the 20-digit reflection to the 60-digit bound
+    # kernels rounded at 20 and at 60 digits are different exact values, so
+    # the value-keyed memo gives each its own reflection
     poly = sine_lower(2).body
-    values = [c.to_ext_real(20).value for c in poly.coefficients]
 
     def decimal_bound(digits):
-        body = Poly([ExtReal(v, digits) for v in values], poly.variable)
+        body = Poly(
+            [PiRational.from_rational(Fraction(_round_coefficient(c, digits)))
+             for c in poly.coefficients],
+            poly.variable,
+        )
         return BoundFn("kernel", 2, "lower", "sin", body)
 
-    assert decimal_bound(20) == decimal_bound(60)
+    assert decimal_bound(20) != decimal_bound(60)
 
     low, high = reflect_to_cos(decimal_bound(20)), reflect_to_cos(decimal_bound(60))
-    assert {c.digits for c in low.body.coefficients} == {20}
-    assert {c.digits for c in high.body.coefficients} == {60}
+    assert low != high
+    assert reflect_to_cos(decimal_bound(20)) is low
+    for bound, digits in ((low, 20), (high, 60)):
+        assert bound.body == reflect_half_pi(decimal_bound(digits).body)
 
 
 @pytest.mark.parametrize("digits", (50, 58, 90))
@@ -117,11 +127,11 @@ def test_si_memo_matches_direct_series(digits):
     si = reference_for("si")
     grid = half_pi_grid(41, digits)
     points = grid.points(digits)
-    assert points[0] == 0 and points[-1] == grid.right.value  # 0 and pi/2
+    assert points[0] == 0 and points[-1] == grid.right  # 0 and pi/2
     for _ in range(2):  # the second pass reads the memo
         for xv in points:
             got = si(xv, digits)
-            assert got._mpf_ == si_reference(ExtReal(xv, digits)).value._mpf_
+            assert got._mpf_ == si_reference(xv, digits)._mpf_
 
 
 def test_si_memo_is_bounded():
@@ -143,13 +153,14 @@ def si_reference_two_powers(xv, digits):
             nxt = xv ** (2 * k + 1) / ((2 * k + 1) * factorial(2 * k + 1))
             if nxt < cutoff:
                 break
-        return ExtReal(total, digits).value
+    with mp.workdps(digits + 10):  # rounded to digits + 10
+        return +total
 
 
 @pytest.mark.parametrize("digits", (50, 68, 90))
 def test_si_reference_matches_two_power_loop(digits):
     for xv in half_pi_grid(41, digits).points(digits):
-        got = si_reference(ExtReal(xv, digits)).value
+        got = si_reference(xv, digits)
         assert got._mpf_ == si_reference_two_powers(xv, digits)._mpf_
 
 

@@ -16,6 +16,7 @@ from splinebound.cli import (
     EXIT_OK,
     EXIT_TABLE_MISMATCH,
     EXIT_USAGE,
+    LIMITS,
     MAX_ORDER,
     build_parser,
     main,
@@ -160,6 +161,32 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.strip() == "error: order must be <= 64"
+
+    def test_budgets(self):
+        assert {name: (least, largest) for name, least, largest in LIMITS} == {
+            "--precision": (10, 1000),
+            "--samples": (2, 100000),
+            "order": (0, MAX_ORDER),
+            "--digits": (1, 1000),
+        }
+
+    # one past each budget, on requests that stay cheap even if a check
+    # were missing
+    @pytest.mark.parametrize(
+        "argv,message",
+        (
+            (("--samples", "100001", "gen", "sin", "1"), "error: --samples must be <= 100000"),
+            (("--precision", "1001", "gen", "sin", "1"), "error: --precision must be <= 1000"),
+            (("gen", "sin", "1", "--digits", "1001"), "error: --digits must be <= 1000"),
+            (("--samples", "2", "codegen", "sin", "1", "--digits", "1001"),
+             "error: --digits must be <= 1000"),
+        ),
+    )
+    def test_above_budget_rejected(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == message + "\n"
 
     def test_unknown_target(self, capsys):
         code, _, _ = run_cli(capsys, "gen", "tan", "1")

@@ -1,11 +1,12 @@
 """Every evaluation site agrees bit for bit with a reference loop.
 
-The reference reads each coefficient at the working context (exact
-pi-rationals through to_ext_real, ExtReal coefficients as their stored
-value) and then does nested multiplication, or for the sine series the term
-sum, written out here apart from the package.  Each site must return the
+The reference reads each exact coefficient at the working precision
+through to_ext_real and then does nested multiplication, or for the sine
+series the term sum, written out here apart from the package.  Each site must return the
 identical mpf (==, not a tolerance).
 """
+
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -13,14 +14,10 @@ import pytest
 from splinebound.analysis import figure_data, half_pi_grid
 from splinebound.bounds import BoundFn, reflect_to_cos, si_lower, sine_lower, sine_upper
 from splinebound.cli import _round_coefficient
-from splinebound.numerics import ExtReal, PiRational, Poly
+from splinebound.numerics import PiRational, Poly
 from splinebound.series import sine_series, sine_series_eval
 
 DIGITS = (50, 90)
-
-
-def ref_value(c, digits):
-    return c.to_ext_real(digits).value if isinstance(c, PiRational) else c.value
 
 
 def ref_horner(poly, x, digits):
@@ -28,7 +25,7 @@ def ref_horner(poly, x, digits):
         x = mp.mpf(x)
         acc = mp.mpf(0)
         for c in reversed(poly.coefficients):
-            acc = acc * x + ref_value(c, digits)
+            acc = acc * x + c.to_ext_real(digits)
         return acc
 
 
@@ -47,9 +44,10 @@ def points(digits):
 def kernel(target, order, digits=17):
     # the rounded kernel as `splinebound codegen` builds it
     poly = (sine_lower(order) if target == "sin" else reflect_to_cos(sine_lower(order))).body
-    rounded = [_round_coefficient(c, digits) for c in poly.coefficients]
-    with mp.workdps(digits + 20):
-        coeffs = [ExtReal(v, digits + 15) for v in rounded]
+    coeffs = [
+        PiRational.from_rational(Fraction(_round_coefficient(c, digits)))
+        for c in poly.coefficients
+    ]
     return BoundFn("kernel", order, "approximation", target, Poly(coeffs, poly.variable))
 
 
@@ -77,7 +75,7 @@ def test_eval_raw(name, digits):
 def test_as_sinc(name, digits):
     b = BOUNDS[name]()
     sinc = b.as_sinc()
-    assert sinc.eval_raw(0, digits) == ref_value(b.body.coeff(1), digits)
+    assert sinc.eval_raw(0, digits) == b.body.coeff(1).to_ext_real(digits)
     for x in points(digits)[1:]:
         with mp.workdps(digits + 10):
             expected = ref_horner(b.body, x, digits) / x
@@ -97,17 +95,17 @@ def test_ratio_at_half_pi(name, digits):
 @pytest.mark.parametrize("name", ("sine_lower_3", "si_lower_3", "kernel_sin_4"))
 def test_ratio_at_zero(name, digits):
     b = BOUNDS[name]()
-    assert b.ratio_at_zero(digits) == ref_value(b.body.coeff(1), digits)
+    assert b.ratio_at_zero(digits) == b.body.coeff(1).to_ext_real(digits)
 
 
 @pytest.mark.parametrize("digits", DIGITS)
 @pytest.mark.parametrize("name", ("kernel_sin_4", "cos_upper_5"))
 def test_json_decimals(name, digits):
     b = BOUNDS[name]()
-    expected = [
-        (c.to_ext_real(digits) if isinstance(c, PiRational) else c).to_decimal_string(digits)
-        for c in b.body.coefficients
-    ]
+    expected = []
+    for c in b.body.coefficients:
+        with mp.workdps(digits + 5):
+            expected.append(mp.nstr(c.to_ext_real(digits), digits, strip_zeros=False))
     assert b.to_json_dict(digits)["coefficients_decimal"] == expected
 
 
@@ -121,7 +119,7 @@ def ref_series(variant, x, digits, n):
         else:
             acc, k0 = 1 - mp.pi**2 / 8 * u**2, 0
         for k in range(k0, n + 1):
-            ck = s.term_coefficient(k).to_ext_real(digits).value
+            ck = s.term_coefficient(k).to_ext_real(digits)
             acc += ck * t**k * u ** s.exponent(k)
         return acc
 
@@ -138,6 +136,6 @@ def test_series_column(figure, variant, n, digits):
                 expected.append(mp.mpf(0))
                 continue
             s = ref_series(variant, xv, digits, n)
-            assert sine_series_eval(variant, ExtReal(xv, digits), n).value == s
+            assert sine_series_eval(variant, xv, digits, n) == s
             expected.append(abs(1 - s / mp.sin(xv)))
     assert column == expected

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splinebound.numerics import (
-    ExtReal,
     PiRational,
     Poly,
     Var,
@@ -75,19 +74,39 @@ class TestToExtReal:
         coarse = a.to_ext_real(15)
         fine = a.to_ext_real(40)
         with mp.workdps(50):
-            assert abs(coarse.value - fine.value) <= mp.mpf(10) ** (-14) * abs(fine.value)
+            assert abs(coarse - fine) <= mp.mpf(10) ** (-14) * abs(fine)
 
+    @pytest.mark.parametrize("digits", (15, 40, 90))
+    def test_rounded_at_digits_plus_ten(self, digits):
+        # summed at digits + 15, then rounded to digits + 10
+        a = pr((1, 3, 7), (0, -1, 3), (-2, 5, 11))
+        with mp.workdps(digits + 15):
+            total = mp.mpf(0)
+            for j, q in a.terms.items():
+                total += mp.mpf(q.numerator) / q.denominator * mp.pi**j
+        with mp.workdps(digits + 10):
+            expected = +total
+        got = a.to_ext_real(digits)
+        assert got._mpf_ == expected._mpf_
 
-class TestExtReal:
-    def test_context_max_rule(self):
-        a = ExtReal(1, 20)
-        b = ExtReal(3, 60)
-        assert (a + b).digits == 60
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: the pi-power terms are summed at digits + 15 "
+        "and cancel by far more digits than that",
+    )
+    def test_high_order_coefficient_to_its_digits(self):
+        from splinebound.spline import sine_spline
 
-    def test_pi_to_any_context(self):
-        p = ExtReal.pi(80)
-        with mp.workdps(90):
-            assert abs(p.value - mp.pi) < mp.mpf(10) ** (-78)
+        c = sine_spline(20).poly.coeff(22)  # exact value 8.60e-47
+        with mp.workdps(400):
+            exact = mp.fsum(
+                mp.mpf(q.numerator) / q.denominator * mp.pi**j for j, q in c.terms.items()
+            )
+            assert abs(c.to_ext_real(20) - exact) <= mp.mpf(10) ** (-19) * abs(exact)
+
+    def test_decimal_string_keeps_zeros(self):
+        assert PiRational.from_rational(1, 4).to_decimal_string(6) == "0.250000"
+        assert pr((1, 1, 1)).to_decimal_string(12) == "3.14159265359"
 
 
 class TestPoly:
@@ -104,21 +123,22 @@ class TestPoly:
     def test_horner_endpoint(self):
         # (2/pi) x at x = pi/2 gives 1
         p = Poly([PiRational.zero(), PiRational.pi_term(-1, 2)])
-        x = ExtReal.pi(50) / 2
-        assert abs(float(horner_eval(p, x.value, x.digits)) - 1.0) < 1e-45
+        with mp.workdps(60):
+            x = mp.pi / 2
+            assert abs(horner_eval(p, x, 50) - 1) < mp.mpf(10) ** -45
 
     def test_horner_at_zero(self):
         p = Poly([pr((0, 7, 2)), PiRational.one(), PiRational.one()])
-        x = ExtReal(0, 30)
-        v = horner_eval(p, x.value, x.digits)
+        v = horner_eval(p, mp.mpf(0), 30)
         assert float(v) == 3.5
 
     def test_horner_f1_quarter_pi(self):
         from splinebound.spline import sine_spline
 
         f1 = sine_spline(1).poly
-        x = ExtReal.pi(30) / 4
-        v = horner_eval(f1, x.value, x.digits)
+        with mp.workdps(40):
+            x = mp.pi / 4
+        v = horner_eval(f1, x, 30)
         with mp.workdps(40):
             err = mp.sin(mp.pi / 4) - v
             assert mp.mpf("0.696") < v < mp.mpf("0.697")
@@ -129,10 +149,11 @@ class TestPoly:
 
         f2 = sine_spline(2).poly
         exact = f2.eval_exact(HALF_PI * Fraction(1, 2))  # x = pi/4
-        x = ExtReal.pi(50) / 4
-        numeric = horner_eval(f2, x.value, x.digits)
         with mp.workdps(60):
-            assert abs(exact.to_ext_real(50).value - numeric) < mp.mpf(10) ** (-45)
+            x = mp.pi / 4
+        numeric = horner_eval(f2, x, 50)
+        with mp.workdps(60):
+            assert abs(exact.to_ext_real(50) - numeric) < mp.mpf(10) ** (-45)
 
 
 class TestIntegrateOverLambda:
