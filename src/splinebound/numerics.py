@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Union
 
 import mpmath as mp
@@ -294,14 +295,35 @@ class Poly:
             self.variable,
         )
 
-    def substitute_affine(self, a, b, variable: Var | None = None) -> "Poly":
-        """p(a + b*y) expanded in y, exactly (Horner over Poly arithmetic)."""
+    def substitute_affine(self, a: PiRational, b: PiRational, variable: Var | None = None) -> "Poly":
+        """p(a + b*y) expanded in y, exactly.
+
+        Horner's rule, out = out*(a + b*y) + c, held as integer numerators
+        of pi-power terms over one shared denominator, so no step reduces a
+        fraction; each coefficient becomes a `Fraction` once, at the end.
+        The steps, and the points where a cancelled term is dropped, are
+        those of the same loop in `PiRational` arithmetic, so every
+        coefficient's `terms` come out in the same insertion order too.
+        That order matters beyond `==`: `to_ext_real` sums the terms in it,
+        and the printed decimals of high orders depend on its rounding.
+        """
         var = variable or self.variable
-        lin = Poly([a, b], var)
-        out = Poly([], var)
+        step = lcm(*(q.denominator for f in (a, b) for q in f.terms.values()))
+        lin = (_numerators(a, step), _numerators(b, step))
+        den = lcm(*(q.denominator for c in self.coefficients for q in c.terms.values()))
+        out: list[dict[int, int]] = []
         for c in reversed(self.coefficients):
-            out = out * lin + Poly([c], var)
-        return out
+            den *= step
+            nxt: list[dict[int, int]] = [{} for _ in range(len(out) + 1)]
+            for i, terms in enumerate(out):
+                if terms:
+                    for m, f in zip((i, i + 1), lin):
+                        _add_into(nxt[m], _times(terms, f))
+            _add_into(nxt[0], _numerators(c, den))
+            out = nxt
+        return Poly(
+            [PiRational({j: Fraction(v, den) for j, v in t.items()}) for t in out], var
+        )
 
     def eval_exact(self, x: PiRational) -> PiRational:
         """Exact evaluation at a pi-rational point."""
@@ -309,6 +331,33 @@ class Poly:
         for c in reversed(self.coefficients):
             out = out * x + c
         return out
+
+
+def _numerators(p: PiRational, den: int) -> dict[int, int]:
+    """p's terms as integer numerators over `den`, a multiple of every
+    term's denominator."""
+    return {j: q.numerator * (den // q.denominator) for j, q in p.terms.items()}
+
+
+def _times(terms: dict[int, int], factor: dict[int, int]) -> dict[int, int]:
+    """Product of two term dicts, cancelled terms dropped after the sum,
+    as `PiRational.__mul__` does."""
+    out: dict[int, int] = {}
+    for j1, v1 in terms.items():
+        for j2, v2 in factor.items():
+            out[j1 + j2] = out.get(j1 + j2, 0) + v1 * v2
+    return {j: v for j, v in out.items() if v}
+
+
+def _add_into(acc: dict[int, int], terms: dict[int, int]) -> None:
+    """acc += terms, in place: new powers appended, cancelled ones dropped,
+    as `PiRational.__add__` does."""
+    for j, v in terms.items():
+        v += acc.get(j, 0)
+        if v:
+            acc[j] = v
+        else:
+            del acc[j]
 
 
 def horner_eval(p: Poly, x, digits: int) -> mp.mpf:

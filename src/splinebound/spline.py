@@ -59,50 +59,66 @@ class SplineApproximant:
     target: str
 
 
+def _hermite_basis(n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Integer coefficients in u of the order-n endpoint polynomials, k = 0..n:
+
+        alpha:  (1-u)^(n+1) * u^k     * sum_{i<=n-k} C(n+i,i) u^i
+        beta:   u^(n+1)     * (1-u)^k * sum_{i<=n-k} C(n+i,i) (1-u)^i
+    """
+    rows = [[(-1) ** r * comb(m, r) for r in range(m + 1)] for m in range(n + 2)]
+    alpha, beta = [], []
+    for k in range(n + 1):
+        a = [0] * (2 * n + 2)
+        b = [0] * (2 * n + 2)
+        for i in range(n - k + 1):
+            c = comb(n + i, i)
+            for r, v in enumerate(rows[n + 1]):
+                a[k + i + r] += c * v
+            for r, v in enumerate(rows[k + i]):
+                b[n + 1 + r] += c * v
+        alpha.append(a)
+        beta.append(b)
+    return alpha, beta
+
+
 def two_point_spline(data: EndpointData, n: int) -> SplineApproximant:
     """Build the n-th order two-point Hermite interpolant, exactly.
 
-    The expansion is done in the normalized variable u = (x - alpha) /
-    (beta - alpha), where both endpoint sums have integer polynomial parts;
-    the affine back-substitution to x then needs only the reciprocal of
+    The interpolant is expanded in the normalized variable u = (x - alpha) /
+    (beta - alpha), where each endpoint polynomial has integer coefficients
+    (`_hermite_basis`) and only the scalars width^k f^(k)/k! carry pi; the
+    affine back-substitution to x then needs only the reciprocal of
     beta - alpha, which must be a single pi-power term (true for every
     interval used here).
+
+    Each scaled integer coefficient is added into its power in the order
+    alpha then beta endpoint, k ascending, and `substitute_affine` keeps
+    the order too, so every coefficient's `terms` have one fixed insertion
+    order.  `to_ext_real` sums the terms in that order, so the order is
+    part of the output: it fixes the rounding of printed decimals.
     """
     data.validate(n)
     width = data.beta - data.alpha
     inv_width = width.inverse()
 
-    u = Poly([PiRational.zero(), PiRational.one()], Var.X_ON_0_HALFPI)
-    one_minus_u = Poly([PiRational.one(), PiRational.from_rational(-1)], Var.X_ON_0_HALFPI)
-
-    total = Poly([], Var.X_ON_0_HALFPI)
-
-    # endpoint alpha: (1-u)^(n+1) * sum_k (width^k f^(k)(alpha)/k!) u^k sum_i C(n+i,i) u^i
-    lead = one_minus_u ** (n + 1)
-    for k in range(n + 1):
-        fk = data.derivs_alpha[k]
-        if isinstance(fk, PiRational) and fk.is_zero():
-            continue
-        inner = Poly([], Var.X_ON_0_HALFPI)
-        for i in range(n - k + 1):
-            inner = inner + (u**i).scale(comb(n + i, i))
-        scalar = (width**k) * fk * Fraction(1, factorial(k))
-        total = total + (lead * (u**k) * inner).scale(scalar)
-
-    # endpoint beta: u^(n+1) * sum_k ((-1)^k width^k f^(k)(beta)/k!) (1-u)^k sum_i C(n+i,i) (1-u)^i
-    lead = u ** (n + 1)
-    for k in range(n + 1):
-        fk = data.derivs_beta[k]
-        if isinstance(fk, PiRational) and fk.is_zero():
-            continue
-        inner = Poly([], Var.X_ON_0_HALFPI)
-        for i in range(n - k + 1):
-            inner = inner + (one_minus_u**i).scale(comb(n + i, i))
-        scalar = (width**k) * fk * Fraction((-1) ** k, factorial(k))
-        total = total + (lead * (one_minus_u**k) * inner).scale(scalar)
+    total = [PiRational.zero()] * (2 * n + 2)
+    alpha_basis, beta_basis = _hermite_basis(n)
+    for derivs, sign, basis in (
+        (data.derivs_alpha, 1, alpha_basis),
+        (data.derivs_beta, -1, beta_basis),
+    ):
+        for k, fk in enumerate(derivs):
+            if isinstance(fk, PiRational) and fk.is_zero():
+                continue
+            scalar = (width**k) * fk * Fraction(sign**k, factorial(k))
+            for m, c in enumerate(basis[k]):
+                if c:
+                    total[m] = total[m] + scalar * c
 
     # back-substitute u = (x - alpha)/width
-    poly = total.substitute_affine(-data.alpha * inv_width, inv_width)
+    poly = Poly(total, Var.X_ON_0_HALFPI).substitute_affine(
+        -data.alpha * inv_width, inv_width
+    )
     return SplineApproximant(order=n, poly=poly, target="generic")
 
 

@@ -1,11 +1,13 @@
 """Command-line interface: outputs, formats, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -251,6 +253,30 @@ class TestFuzz:
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_CERTIFICATION, EXIT_TABLE_MISMATCH)
         if code == EXIT_USAGE:
             assert "error" in err.getvalue()
+
+
+# stdout and exit code of each request of the benchmark's `cli` workload, as
+# recorded by the benchmark (read only here); a drift in printed digits fails
+# this before the benchmark run does
+GOLDEN_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "cli.json"
+_GOLDEN = json.loads(GOLDEN_CLI.read_text())["results"] if GOLDEN_CLI.is_file() else {}
+
+
+class TestGolden:
+    def test_population_recorded(self):
+        # without the file the parametrized test below would have no cases
+        assert len(_GOLDEN) == 38
+
+    @pytest.mark.parametrize("request_key", sorted(_GOLDEN))
+    def test_stdout_bytes(self, request_key, monkeypatch, capsysbinary):
+        monkeypatch.delenv("SPLINEBOUND_PRECISION", raising=False)
+        code = main(request_key.split(" "))
+        out = capsysbinary.readouterr().out
+        assert {
+            "rc": code,
+            "stdout_bytes": len(out),
+            "stdout_sha256": hashlib.sha256(out).hexdigest(),
+        } == _GOLDEN[request_key]
 
 
 class TestEntryPoint:

@@ -1,11 +1,13 @@
 """Two-point Hermite splines: fixtures, interpolation property, reflection."""
 
 from fractions import Fraction
+from math import comb, factorial
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splinebound.bounds import reflect_to_cos, sine_lower, sine_upper
 from splinebound.numerics import PiRational, Poly, Var, horner_eval
 from splinebound.spline import (
     HALF_PI,
@@ -130,6 +132,34 @@ class TestValidation:
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 
+# up to four pi-power terms; the small integer values make sums and
+# products of them cancel a term often
+multi_term = st.dictionaries(
+    st.integers(min_value=-2, max_value=2),
+    st.one_of(st.sampled_from((-1, 1, 2)), small_fracs),
+    max_size=4,
+).map(PiRational)
+
+
+@st.composite
+def generic_endpoint_data(draw):
+    # alpha != 0 and a width that is a single pi-power term, as
+    # `two_point_spline` requires
+    n = draw(st.integers(min_value=0, max_value=3))
+    offset = draw(multi_term)
+    start = draw(st.fractions(min_value=-2, max_value=2, max_denominator=6))
+    width = draw(st.fractions(min_value=Fraction(1, 6), max_value=2, max_denominator=6))
+    power = draw(st.integers(min_value=-1, max_value=2))
+    alpha = offset + PiRational.pi_term(power, start)
+    if alpha.is_zero():
+        alpha = PiRational.one()
+    return EndpointData(
+        alpha=alpha,
+        beta=alpha + PiRational.pi_term(power, width),
+        derivs_alpha=tuple(draw(multi_term) for _ in range(n + 1)),
+        derivs_beta=tuple(draw(multi_term) for _ in range(n + 1)),
+    )
+
 
 class TestInterpolationProperty:
     @given(
@@ -156,3 +186,112 @@ class TestInterpolationProperty:
             derivs_beta=tuple(derivs_beta),
         )
         assert two_point_spline(data, n).poly == p
+
+
+# -- term order -------------------------------------------------------------
+#
+# `to_ext_real` sums a coefficient's pi-power terms in their insertion order,
+# so that order fixes the rounding of every printed decimal; `==` ignores
+# it.  The references below are the Hermite expansion and the Horner
+# substitution written out in Poly-over-PiRational arithmetic, and the
+# package must give the same terms in the same order.
+
+
+def ref_substitute_affine(p, a, b, variable=None):
+    var = variable or p.variable
+    lin = Poly([a, b], var)
+    out = Poly([], var)
+    for c in reversed(p.coefficients):
+        out = out * lin + Poly([c], var)
+    return out
+
+
+def ref_two_point_spline(data, n):
+    width = data.beta - data.alpha
+    inv_width = width.inverse()
+    u = Poly([PiRational.zero(), PiRational.one()])
+    one_minus_u = Poly([PiRational.one(), PiRational.from_rational(-1)])
+    total = Poly([])
+    for derivs, sign, lead, base in (
+        (data.derivs_alpha, 1, one_minus_u ** (n + 1), u),
+        (data.derivs_beta, -1, u ** (n + 1), one_minus_u),
+    ):
+        for k in range(n + 1):
+            fk = derivs[k]
+            if isinstance(fk, PiRational) and fk.is_zero():
+                continue
+            inner = Poly([])
+            for i in range(n - k + 1):
+                inner = inner + (base**i).scale(comb(n + i, i))
+            scalar = (width**k) * fk * Fraction(sign**k, factorial(k))
+            total = total + (lead * (base**k) * inner).scale(scalar)
+    return ref_substitute_affine(total, -data.alpha * inv_width, inv_width)
+
+
+def term_items(p):
+    return [list(c.terms.items()) for c in p.coefficients]
+
+
+class TestTermOrder:
+    @pytest.mark.parametrize("n", [*range(17), 24])
+    def test_sine_spline(self, n):
+        ref = ref_two_point_spline(sine_endpoint_data(n), n)
+        assert term_items(sine_spline(n).poly) == term_items(ref)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_reflected_bounds(self, n):
+        minus_one = PiRational.from_rational(-1)
+        bounds = [sine_lower(n)] + ([sine_upper(n)] if n >= 2 else [])
+        for b in bounds:
+            ref = ref_substitute_affine(b.body, HALF_PI, minus_one)
+            assert term_items(reflect_to_cos(b).body) == term_items(ref)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_cosine_spline(self, n):
+        ref = ref_substitute_affine(
+            ref_two_point_spline(sine_endpoint_data(n), n),
+            HALF_PI,
+            PiRational.from_rational(-1),
+        )
+        assert term_items(cosine_spline(n).poly) == term_items(ref)
+
+    @given(
+        coeffs=st.lists(multi_term, min_size=2, max_size=6),
+        a=multi_term,
+        b=multi_term,
+        variable=st.sampled_from(Var),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_substitute_affine(self, coeffs, a, b, variable):
+        p = Poly(coeffs)
+        got = p.substitute_affine(a, b, variable=variable)
+        ref = ref_substitute_affine(p, a, b, variable=variable)
+        assert got.variable is ref.variable
+        assert term_items(got) == term_items(ref)
+
+    def test_cancelled_term_enters_again_last(self):
+        # (1 - pi) y - y^2 at the constant 1 - 1/pi: the pi^0 term cancels
+        # at the second Horner step and comes back at the third, after the
+        # terms that survived
+        p = Poly([PiRational.zero(), PiRational({0: 1, 1: -1}), PiRational({0: -1})])
+        a, b = PiRational({0: 1, -1: -1}), PiRational.zero()
+        got = p.substitute_affine(a, b)
+        assert term_items(got) == term_items(ref_substitute_affine(p, a, b))
+        assert list(got.coeff(0).terms) == [-1, -2, 1, 0]
+
+    @given(data=generic_endpoint_data())
+    @settings(max_examples=40, deadline=None)
+    def test_generic_endpoint_data(self, data):
+        n = data.order()
+        assert term_items(two_point_spline(data, n).poly) == term_items(
+            ref_two_point_spline(data, n)
+        )
+
+    @given(data=generic_endpoint_data())
+    @settings(max_examples=20, deadline=None)
+    def test_generic_endpoint_data_interpolates(self, data):
+        p = two_point_spline(data, data.order()).poly
+        for fa, fb in zip(data.derivs_alpha, data.derivs_beta):
+            assert p.eval_exact(data.alpha) == fa
+            assert p.eval_exact(data.beta) == fb
+            p = p.derivative()
