@@ -8,7 +8,7 @@ catalog of published baseline inequalities used for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 from math import factorial
 from typing import Callable, Optional, Union
 
@@ -29,6 +29,10 @@ class BoundFn:
     equal at declared sharp points); 'upper' the reverse; 'approximation'
     claims no direction.  The builders below return one shared instance per
     argument value: treat it as immutable.
+
+    A callable body is called as body(x, digits) by `eval_raw` only, with an
+    mpf x and inside mp.workdps(digits + 10); so a body neither converts x
+    nor sets a precision of its own.
     """
 
     family: str
@@ -81,25 +85,9 @@ class BoundFn:
         def body(x, digits):
             if x == 0:
                 return self.ratio_at_zero(digits)
-            with mp.workdps(digits + 10):
-                return self.eval_raw(x, digits) / x
+            return self.eval_raw(x, digits) / x
 
         return BoundFn(self.family, self.order, self.direction, "sinc", body)
-
-    def to_json_dict(self, digits: int = 50) -> dict:
-        out = {
-            "family": self.family,
-            "order": self.order,
-            "direction": self.direction,
-            "target": self.target,
-        }
-        if isinstance(self.body, Poly):
-            out["variable"] = self.body.variable.value
-            out["coefficients_exact"] = [c.to_json_dict() for c in self.body.coefficients]
-            out["coefficients_decimal"] = [
-                c.to_decimal_string(digits) for c in self.body.coefficients
-            ]
-        return out
 
 
 # -- spline bounds ---------------------------------------------------------
@@ -231,35 +219,23 @@ def zhu_bound(n: int, direction: str) -> BoundFn:
     alpha = zhu_alpha(n + 1)
 
     def body(x, digits):
-        with mp.workdps(digits + 10):
-            pi = mp.pi
-            u = pi**2 - 4 * mp.mpf(x) ** 2
-            av = [a.to_ext_real(digits) for a in alpha]
-            acc = mp.mpf(0)
-            for k in range(n + 1):
-                acc += av[k] * u**k
-            if direction == "lower":
-                acc += av[n + 1] * u ** (n + 1)
-            else:
-                head = sum(av[k] * pi ** (2 * k) for k in range(n + 1))
-                acc += (1 - head) * u ** (n + 1) / pi ** (2 * n + 2)
-            return acc
+        pi = mp.pi
+        u = pi**2 - 4 * x**2
+        av = [a.to_ext_real(digits) for a in alpha]
+        acc = mp.mpf(0)
+        for k in range(n + 1):
+            acc += av[k] * u**k
+        if direction == "lower":
+            acc += av[n + 1] * u ** (n + 1)
+        else:
+            head = sum(av[k] * pi ** (2 * k) for k in range(n + 1))
+            acc += (1 - head) * u ** (n + 1) / pi ** (2 * n + 2)
+        return acc
 
     return BoundFn("zhu", n, direction, "sinc", body)
 
 
 # -- published baseline catalog -------------------------------------------
-
-
-def _mk(fn, at_zero=None):
-    def body(x, digits):
-        with mp.workdps(digits + 10):
-            x = mp.mpf(x)
-            if x == 0 and at_zero is not None:
-                return mp.mpf(at_zero)
-            return fn(x)
-
-    return body
 
 
 def _real_cbrt(v):
@@ -269,11 +245,9 @@ def _real_cbrt(v):
 
 
 def _lv_si_body(x, digits):
-    with mp.workdps(digits + 10):
-        x = mp.mpf(x)
-        return (2 * x + mp.sin(x)) / 3 - (
-            x**3 + 3 * x * mp.cos(x) - 3 * mp.sin(x)
-        ) / (9 * mp.pi**2)
+    return (2 * x + mp.sin(x)) / 3 - (x**3 + 3 * x * mp.cos(x) - 3 * mp.sin(x)) / (
+        9 * mp.pi**2
+    )
 
 
 @cache
@@ -284,129 +258,74 @@ def lv_si_lower() -> BoundFn:
     )
 
 
+def _cusa(x):  # Cusa-Huygens, also the upper form of rows 1 and 2
+    return (2 + mp.cos(x)) / 3
+
+
+def _cos_ratio(x):  # (9 + 6 cos x)/(14 + cos x), shared by rows 8 and 9
+    return (9 + 6 * mp.cos(x)) / (14 + mp.cos(x))
+
+
+def _tan_half_ratio_sq(x):  # (tan(x/2)/(x/2))^2 of row 5, 0/0 at x = 0
+    return mp.tan(x / 2) ** 2 / (x / 2) ** 2
+
+
+def _k0():  # row 10's k0, which makes its lower form sharp at pi/2
+    return (8 * mp.pi - 24) / (mp.pi**3 - 2 * mp.pi**2)
+
+
+# (family, order, direction, sin(x)/x formula, value at x = 0 where the
+# formula is 0/0 there); each formula keeps the operation order of its
+# transcription, so its rounding is that of the published form.  Row 5
+# (Hua) is implemented as transcribed; its x -> 0 limit is 1.
+_CATALOG = (
+    ("jordan", 0, "lower", lambda x: 2 / mp.pi, None),
+    ("jordan", 0, "upper", lambda x: mp.mpf(1), None),
+    ("cusa_huygens", 0, "upper", _cusa, None),
+    ("redheffer", 0, "lower", lambda x: (mp.pi**2 - x**2) / (mp.pi**2 + x**2), None),
+    ("table11_1", 1, "lower", lambda x: (1 + mp.cos(x)) / 2, None),
+    ("table11_1", 1, "upper", _cusa, None),
+    ("table11_2", 2, "lower", lambda x: _real_cbrt(mp.cos(x)), None),
+    ("table11_2", 2, "upper", _cusa, None),
+    ("table11_3", 3, "lower",
+     lambda x: (mp.cos(x) + mp.pi / (mp.pi - 2) - 1) / (mp.pi / (mp.pi - 2)), None),
+    ("table11_3", 3, "upper", lambda x: (mp.cos(x) + 2) / 3, None),
+    ("table11_4", 4, "lower", lambda x: (1 - 7 * x**2 / 60) / (1 + x**2 / 20), None),
+    ("table11_4", 4, "upper",
+     lambda x: (1 - x**2 / 7 + 11 * x**4 / 2520) / (1 + x**2 / 42), None),
+    ("table11_5", 5, "lower",
+     lambda x: 2 + 23 * x**3 * mp.sin(x) / 720 - _tan_half_ratio_sq(x), 1),
+    ("table11_5", 5, "upper",
+     lambda x: 2
+     + (128 - 16 * mp.pi**2 + 16 * mp.pi) * x**3 * mp.sin(x) / mp.pi**5
+     - _tan_half_ratio_sq(x), 1),
+    ("table11_6", 6, "lower", lambda x: (2 / mp.pi) ** (4 * x**2 / mp.pi**2), None),
+    ("table11_6", 6, "upper", lambda x: mp.exp(-(x**2) / 6), None),
+    ("table11_7", 7, "lower",
+     lambda x: mp.cos(mp.mpf("0.3473") * x) ** (1 / mp.mpf("0.3473")), None),
+    ("table11_7", 7, "upper", lambda x: mp.cos(x / 3) ** 3, None),
+    ("table11_8", 8, "lower", lambda x: (28 / mp.pi + 6 * mp.cos(x)) / (14 + mp.cos(x)), None),
+    ("table11_8", 8, "upper", _cos_ratio, None),
+    ("table11_9", 9, "lower",
+     lambda x: _cos_ratio(x) ** (mp.log(mp.pi / 2) / mp.log(mp.mpf(14) / 9)), None),
+    ("table11_9", 9, "upper", _cos_ratio, None),
+    ("table11_10", 10, "lower",
+     lambda x: (2 + mp.cos(x) - _k0() * x**2) / (3 - _k0() * x**2), None),
+    ("table11_10", 10, "upper", lambda x: (2 + mp.cos(x) - x**2 / 10) / (3 - x**2 / 10), None),
+)
+
+
+def _published(formula, at_zero, x, digits):
+    """Body of a catalog row: its formula, or its declared value at x = 0."""
+    return mp.mpf(at_zero) if at_zero is not None and x == 0 else formula(x)
+
+
 def baseline_catalog() -> list[BoundFn]:
     """Published sin(x)/x bounds: the classical inequalities, the ten tabulated
     lower/upper pairs, Zhu orders 0-2 and the Lv sine-integral bound."""
-    cusa = _mk(lambda x: (2 + mp.cos(x)) / 3)
-
-    def cos_ratio(x):  # (9 + 6 cos x)/(14 + cos x), shared by rows 8 and 9
-        return (9 + 6 * mp.cos(x)) / (14 + mp.cos(x))
-
-    entries: list[BoundFn] = [
-        BoundFn("jordan", 0, "lower", "sinc", _mk(lambda x: 2 / mp.pi)),
-        BoundFn("jordan", 0, "upper", "sinc", _mk(lambda x: mp.mpf(1))),
-        BoundFn("cusa_huygens", 0, "upper", "sinc", cusa),
-        BoundFn(
-            "redheffer",
-            0,
-            "lower",
-            "sinc",
-            _mk(lambda x: (mp.pi**2 - x**2) / (mp.pi**2 + x**2)),
-        ),
-        # Table 1.1 rows
-        BoundFn("table11_1", 1, "lower", "sinc", _mk(lambda x: (1 + mp.cos(x)) / 2)),
-        BoundFn("table11_1", 1, "upper", "sinc", cusa),
-        BoundFn("table11_2", 2, "lower", "sinc", _mk(lambda x: _real_cbrt(mp.cos(x)))),
-        BoundFn("table11_2", 2, "upper", "sinc", cusa),
-        BoundFn(
-            "table11_3",
-            3,
-            "lower",
-            "sinc",
-            _mk(lambda x: (mp.cos(x) + mp.pi / (mp.pi - 2) - 1) / (mp.pi / (mp.pi - 2))),
-        ),
-        BoundFn("table11_3", 3, "upper", "sinc", _mk(lambda x: (mp.cos(x) + 2) / 3)),
-        BoundFn(
-            "table11_4",
-            4,
-            "lower",
-            "sinc",
-            _mk(lambda x: (1 - 7 * x**2 / 60) / (1 + x**2 / 20)),
-        ),
-        BoundFn(
-            "table11_4",
-            4,
-            "upper",
-            "sinc",
-            _mk(lambda x: (1 - x**2 / 7 + 11 * x**4 / 2520) / (1 + x**2 / 42)),
-        ),
-        # row 5 (Hua): implemented as transcribed; x -> 0 limit is 1
-        BoundFn(
-            "table11_5",
-            5,
-            "lower",
-            "sinc",
-            _mk(
-                lambda x: 2
-                + 23 * x**3 * mp.sin(x) / 720
-                - mp.tan(x / 2) ** 2 / (x / 2) ** 2,
-                at_zero=1,
-            ),
-        ),
-        BoundFn(
-            "table11_5",
-            5,
-            "upper",
-            "sinc",
-            _mk(
-                lambda x: 2
-                + (128 - 16 * mp.pi**2 + 16 * mp.pi) * x**3 * mp.sin(x) / mp.pi**5
-                - mp.tan(x / 2) ** 2 / (x / 2) ** 2,
-                at_zero=1,
-            ),
-        ),
-        BoundFn(
-            "table11_6",
-            6,
-            "lower",
-            "sinc",
-            _mk(lambda x: (2 / mp.pi) ** (4 * x**2 / mp.pi**2)),
-        ),
-        BoundFn("table11_6", 6, "upper", "sinc", _mk(lambda x: mp.exp(-(x**2) / 6))),
-        BoundFn(
-            "table11_7",
-            7,
-            "lower",
-            "sinc",
-            _mk(lambda x: mp.cos(mp.mpf("0.3473") * x) ** (1 / mp.mpf("0.3473"))),
-        ),
-        BoundFn("table11_7", 7, "upper", "sinc", _mk(lambda x: mp.cos(x / 3) ** 3)),
-        BoundFn(
-            "table11_8",
-            8,
-            "lower",
-            "sinc",
-            _mk(lambda x: (28 / mp.pi + 6 * mp.cos(x)) / (14 + mp.cos(x))),
-        ),
-        BoundFn("table11_8", 8, "upper", "sinc", _mk(cos_ratio)),
-        BoundFn(
-            "table11_9",
-            9,
-            "lower",
-            "sinc",
-            _mk(lambda x: cos_ratio(x) ** (mp.log(mp.pi / 2) / mp.log(mp.mpf(14) / 9))),
-        ),
-        BoundFn("table11_9", 9, "upper", "sinc", _mk(cos_ratio)),
-        BoundFn(
-            "table11_10",
-            10,
-            "lower",
-            "sinc",
-            # k0 = (8 pi - 24)/(pi^3 - 2 pi^2) makes the form sharp at pi/2
-            _mk(
-                lambda x: (
-                    2 + mp.cos(x) - (8 * mp.pi - 24) / (mp.pi**3 - 2 * mp.pi**2) * x**2
-                )
-                / (3 - (8 * mp.pi - 24) / (mp.pi**3 - 2 * mp.pi**2) * x**2)
-            ),
-        ),
-        BoundFn(
-            "table11_10",
-            10,
-            "upper",
-            "sinc",
-            _mk(lambda x: (2 + mp.cos(x) - x**2 / 10) / (3 - x**2 / 10)),
-        ),
+    entries = [
+        BoundFn(family, order, direction, "sinc", partial(_published, formula, at_zero))
+        for family, order, direction, formula, at_zero in _CATALOG
     ]
     entries.extend(zhu_bound(n, d) for n in range(3) for d in ("lower", "upper"))
     entries.append(lv_si_lower())

@@ -210,15 +210,20 @@ def _round_coefficient(c: PiRational, digits: int) -> str:
         return mp.nstr(v, digits, strip_zeros=False)
 
 
-def cmd_codegen(args) -> int:
-    poly = _bound_for(args.target, args.order, "lower").body
-    digits = args.digits
+def codegen_kernel(target: str, order: int, digits: int) -> tuple[list[str], BoundFn]:
+    """The order-n lower bound's coefficients rounded to `digits` significant
+    digits, and the kernel: exactly the rational numbers they spell."""
+    poly = _bound_for(target, order, "lower").body
     rounded = [_round_coefficient(c, digits) for c in poly.coefficients]
-    # the kernel is exactly the rational numbers it prints
     kernel_poly = Poly(
         [PiRational.from_rational(Fraction(s)) for s in rounded], poly.variable
     )
-    kernel = BoundFn("kernel", args.order, "approximation", args.target, kernel_poly)
+    return rounded, BoundFn("kernel", order, "approximation", target, kernel_poly)
+
+
+def cmd_codegen(args) -> int:
+    digits = args.digits
+    rounded, kernel = codegen_kernel(args.target, args.order, digits)
     expected = analysis.TABLE_3_1 if args.target in ("sin", "cos") else analysis.TABLE_5_2
     hint = expected.get(args.order, 1e-20)
     scan_digits = analysis.digits_for_bound(hint)
@@ -263,27 +268,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("order", type=int)
     p.add_argument("form", choices=("exact", "decimal", "both"), nargs="?", default="both")
     p.add_argument("--digits", type=int, default=20)
-    p.set_defaults(fn=cmd_gen)
+    p.set_defaults(fn=cmd_gen, formats=("json", "csv", "text"))
 
     p = sub.add_parser("bounds", help="certify a bound direction on the grid")
     p.add_argument("target", choices=("sin", "cos", "si"))
     p.add_argument("order", type=int)
     p.add_argument("direction", choices=("lower", "upper"))
-    p.set_defaults(fn=cmd_bounds)
+    p.set_defaults(fn=cmd_bounds, formats=("json", "text"))
 
     p = sub.add_parser("table", help="reproduce a published table")
     p.add_argument("id", choices=("2.1", "3.1", "5.1", "5.2"))
-    p.set_defaults(fn=cmd_table)
+    p.set_defaults(fn=cmd_table, formats=("json", "csv", "text"))
 
     p = sub.add_parser("figure", help="emit the data behind a published figure")
     p.add_argument("id", choices=tuple(str(i) for i in range(1, 9)))
-    p.set_defaults(fn=cmd_figure)
+    p.set_defaults(fn=cmd_figure, formats=("json", "csv"))
 
     p = sub.add_parser("codegen", help="emit a rounded kernel coefficient artifact")
     p.add_argument("target", choices=("sin", "cos", "si"))
     p.add_argument("order", type=int)
     p.add_argument("--digits", type=int, default=17)
-    p.set_defaults(fn=cmd_codegen)
+    p.set_defaults(fn=cmd_codegen, formats=("json",))
 
     return parser
 
@@ -300,9 +305,14 @@ def main(argv=None) -> int:
             rule = f">= {least}" if value < least else f"<= {largest}"
             print(f"error: {name} must be {rule}", file=sys.stderr)
             return EXIT_USAGE
+    if args.format not in args.formats:
+        written = " or ".join(args.formats)
+        print(f"error: {args.command} writes --format {written}, not {args.format}",
+              file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

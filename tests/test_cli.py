@@ -9,10 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import splinebound
+from splinebound import analysis
 from splinebound.cli import (
     EXIT_CERTIFICATION,
     EXIT_OK,
@@ -21,6 +23,7 @@ from splinebound.cli import (
     LIMITS,
     MAX_ORDER,
     build_parser,
+    codegen_kernel,
     main,
 )
 
@@ -62,6 +65,14 @@ class TestGen:
         assert out == ""
         payload = json.loads(dest.read_text())
         assert payload["order"] == 0
+
+    @pytest.mark.parametrize("where", ("missing/gen.json", "."))
+    def test_out_unwritable_is_usage_error(self, tmp_path, capsys, where):
+        # a missing directory, or a directory itself
+        code, out, err = run_cli(capsys, "--out", str(tmp_path / where), "gen", "sin", "0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestBounds:
@@ -141,6 +152,31 @@ class TestCodegen:
         # rounding at 17 digits leaves the certified bound at the exact level
         assert float(payload["certified_re_bound"]) == pytest.approx(3.31e-4, rel=2e-2)
 
+    @pytest.mark.parametrize("order, remainder", ((2, -2.06e-18), (8, 1.88e-18)))
+    def test_cos_kernel_does_not_vanish_at_half_pi(self, order, remainder):
+        # rounding the coefficients moves the kernel off cos's root at pi/2
+        _, kernel = codegen_kernel("cos", order, 17)
+        with mp.workdps(60):
+            value = kernel.eval_raw(mp.pi / 2, 50)
+        assert float(value) == pytest.approx(remainder, rel=1e-2)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="relative_error takes the l'Hopital limit within 10^(-digits/2) "
+        "of pi/2, which assumes a root there that the rounded kernel lacks",
+    )
+    def test_cos_kernel_re_at_half_pi(self):
+        # the re that `codegen cos 8` scans at its last grid point, x = pi/2
+        _, kernel = codegen_kernel("cos", 8, 17)
+        digits = analysis.digits_for_bound(analysis.TABLE_3_1[8])
+        x = analysis.half_pi_grid(1000, digits).points(digits)[-1]
+        with mp.workdps(digits + 10):
+            reported = analysis.relative_error(
+                kernel, analysis.reference_for("cos"), x, digits
+            )
+            direct = 1 - kernel.eval_raw(x, digits) / mp.cos(x)
+            assert mp.almosteq(abs(reported), abs(direct), rel_eps=1e-6)
+
 
 class TestUsage:
     def test_low_precision_rejected(self, capsys):
@@ -185,6 +221,25 @@ class TestUsage:
         ),
     )
     def test_above_budget_rejected(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == message + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        (
+            (("--format", "csv", "codegen", "sin", "2"),
+             "error: codegen writes --format json, not csv"),
+            (("--format", "text", "codegen", "sin", "2"),
+             "error: codegen writes --format json, not text"),
+            (("--format", "csv", "bounds", "sin", "2", "lower"),
+             "error: bounds writes --format json or text, not csv"),
+            (("--format", "text", "figure", "4"),
+             "error: figure writes --format json or csv, not text"),
+        ),
+    )
+    def test_unwritten_format_rejected(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""

@@ -6,15 +6,12 @@ series the term sum, written out here apart from the package.  Each site must re
 identical mpf (==, not a tolerance).
 """
 
-from fractions import Fraction
-
 import mpmath as mp
 import pytest
 
 from splinebound.analysis import figure_data, half_pi_grid
-from splinebound.bounds import BoundFn, reflect_to_cos, si_lower, sine_lower, sine_upper
-from splinebound.cli import _round_coefficient
-from splinebound.numerics import PiRational, Poly
+from splinebound.bounds import reflect_to_cos, si_lower, sine_lower, sine_upper
+from splinebound.cli import codegen_kernel
 from splinebound.series import sine_series, sine_series_eval
 
 DIGITS = (50, 90)
@@ -41,24 +38,15 @@ def points(digits):
         ]
 
 
-def kernel(target, order, digits=17):
-    # the rounded kernel as `splinebound codegen` builds it
-    poly = (sine_lower(order) if target == "sin" else reflect_to_cos(sine_lower(order))).body
-    coeffs = [
-        PiRational.from_rational(Fraction(_round_coefficient(c, digits)))
-        for c in poly.coefficients
-    ]
-    return BoundFn("kernel", order, "approximation", target, Poly(coeffs, poly.variable))
-
-
 BOUNDS = {
     "sine_lower_3": lambda: sine_lower(3),
     "sine_upper_4": lambda: sine_upper(4),
     "cos_lower_2": lambda: reflect_to_cos(sine_lower(2)),
     "cos_upper_5": lambda: reflect_to_cos(sine_upper(5)),
     "si_lower_3": lambda: si_lower(3),
-    "kernel_sin_4": lambda: kernel("sin", 4),
-    "kernel_cos_2": lambda: kernel("cos", 2),
+    # the rounded kernels of `splinebound codegen sin 4` and `codegen cos 2`
+    "kernel_sin_4": lambda: codegen_kernel("sin", 4, 17)[1],
+    "kernel_cos_2": lambda: codegen_kernel("cos", 2, 17)[1],
 }
 
 
@@ -101,12 +89,13 @@ def test_ratio_at_zero(name, digits):
 @pytest.mark.parametrize("digits", DIGITS)
 @pytest.mark.parametrize("name", ("kernel_sin_4", "cos_upper_5"))
 def test_json_decimals(name, digits):
+    # the decimals `gen` prints in its JSON, CSV and text outputs
     b = BOUNDS[name]()
     expected = []
     for c in b.body.coefficients:
         with mp.workdps(digits + 5):
             expected.append(mp.nstr(c.to_ext_real(digits), digits, strip_zeros=False))
-    assert b.to_json_dict(digits)["coefficients_decimal"] == expected
+    assert [c.to_decimal_string(digits) for c in b.body.coefficients] == expected
 
 
 def ref_series(variant, x, digits, n):
