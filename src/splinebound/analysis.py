@@ -9,7 +9,7 @@ so that bounds near 1e-100 remain resolvable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 
 import mpmath as mp
 
@@ -92,21 +92,52 @@ def _si_value(x, digits: int) -> mp.mpf:
     return si_reference(x, digits)
 
 
+def _sin(x, digits: int) -> mp.mpf:
+    return mp.sin(x)
+
+
+def _sinc_from(sin):
+    """sin(x)/x from the sin reference `sin`, 1 at x = 0."""
+    return lambda x, d: sin(x, d) / x if x != 0 else mp.mpf(1)
+
+
 def reference_for(target: str):
     """Reference evaluator f(x) at working digits, by target name.
 
-    sin, cos and sinc are cheap and evaluated at the caller's working
-    precision; the Si series is not, and its values are memoised.
+    sin, cos and sinc are evaluated at the caller's working precision; the
+    Si series is costlier, and its values are memoised.
     """
     if target == "sin":
-        return lambda x, d: mp.sin(x)
+        return _sin
     if target == "cos":
         return lambda x, d: mp.cos(x)
     if target == "sinc":
-        return lambda x, d: mp.sin(x) / x if x != 0 else mp.mpf(1)
+        return _sinc_from(_sin)
     if target == "si":
         return _si_value
     raise ValueError(f"unknown target {target!r}")
+
+
+def _call_references():
+    """reference_for for the curves or rows of one figure or table call.
+
+    sin(x) is computed once per (x, digits) and kept only as long as the
+    returned lookup, and the sinc reference divides that value by x.  Every
+    reference is called at mp.workdps(digits + 10), so a kept value is the
+    one a fresh call would give.
+    """
+    sin = reference_for("sin")
+    sines = {}
+
+    def shared_sin(x, digits):
+        key = (x._mpf_, digits)
+        value = sines.get(key)
+        if value is None:
+            value = sines[key] = sin(x, digits)
+        return value
+
+    shared = {"sin": shared_sin, "sinc": _sinc_from(shared_sin)}
+    return lambda target: shared.get(target) or reference_for(target)
 
 
 def relative_error(approx: BoundFn, reference, x, digits: int) -> mp.mpf:
@@ -292,23 +323,25 @@ def matches_sig_figs(computed, expected, sig: int = 3) -> bool:
         )
 
 
-def _sin_column(xs, digits: int) -> list:
-    """sin(x) at each x, computed once and shared by every curve of a figure."""
-    sin = reference_for("sin")
+def _series_re(variant: str, ns, xs, refs, digits: int) -> dict:
+    """{n: |1 - s_n(x)/sin(x)| at each x} for the partial sums s_n, n in ns,
+    0 at x = 0 where every s_n is exact in the limit.  One pass of the term
+    loop at each x gives every column; sin comes from refs("sin")."""
+    last = max(ns)
+    s = sine_series(variant, last)
+    sin = refs("sin")
+    cols = {n: [] for n in ns}
     with mp.workdps(digits + 10):
-        return [sin(xv, digits) for xv in xs]
-
-
-def _series_column(variant: str, n: int, xs, sins, digits: int) -> list:
-    """|1 - series(x)/sin(x)| at each x, 0 at x = 0 where both series are
-    exact in the limit; the exact series is built once for the column and
-    sins() gives the sin column."""
-    s = sine_series(variant, n)
-    with mp.workdps(digits + 10):
-        return [
-            abs(1 - s.eval(xv, digits, n) / sv) if xv != 0 else mp.mpf(0)
-            for xv, sv in zip(xs, sins())
-        ]
+        for xv in xs:
+            if xv == 0:
+                for col in cols.values():
+                    col.append(mp.mpf(0))
+                continue
+            sv = sin(xv, digits)
+            for n, acc in s.partial_sums(xv, digits, last):
+                if n in cols:
+                    cols[n].append(abs(1 - acc / sv))
+    return cols
 
 
 # Table and figure specs name their builders inside lambdas, so a builder is
@@ -316,24 +349,24 @@ def _series_column(variant: str, n: int, xs, sins, digits: int) -> list:
 # at run time sees every call.
 
 
-def _scanned(build, row, grid: Grid, digits: int):
+def _scanned(build, row, grid: Grid, digits: int, refs):
     """Table cell: the bound build(row) and its max |re| on the grid."""
     bound = build(row)
-    rep = re_bound_scan(bound, reference_for(bound.target), grid, digits)
+    rep = re_bound_scan(bound, refs(bound.target), grid, digits)
     return bound, rep.re_bound
 
 
-def _series_max(variant: str, n: int, grid: Grid, digits: int):
+def _series_max(variant: str, n: int, grid: Grid, digits: int, refs):
     """Table cell: no bound, and the largest value of the series column."""
-    xs = grid.points(digits)
-    column = _series_column(variant, n, xs, lambda: _sin_column(xs, digits), digits)
+    (column,) = _series_re(variant, [n], grid.points(digits), refs, digits).values()
     return None, max(column)
 
 
 # table id -> (row label, whether rows show their bound's direction, columns);
 # a column (key suffix, published value by row, cell) fills computed<suffix>
 # and expected<suffix>, the cell scanning at the digits the published value
-# needs.  Taylor polynomials alternate between lower and upper bounds.
+# needs with references shared by the table's rows.  Taylor polynomials
+# alternate between lower and upper bounds.
 _TABLES = {
     "2.1": ("order", True, [("", TABLE_2_1, partial(_scanned, lambda n: taylor_sine(n)))]),
     "3.1": ("order", False, [("", TABLE_3_1, partial(_scanned, lambda n: sine_lower(n)))]),
@@ -353,6 +386,7 @@ def reproduce_table(table_id: str, samples: int = DEFAULT_SAMPLES) -> list[dict]
     if table_id not in _TABLES:
         raise ValueError(f"unknown table id {table_id!r}")
     label, show_direction, columns = _TABLES[table_id]
+    refs = _call_references()
     rows: list[dict] = []
     for key in columns[0][1]:
         row = {"table": table_id, label: key}
@@ -364,7 +398,7 @@ def reproduce_table(table_id: str, samples: int = DEFAULT_SAMPLES) -> list[dict]
                 row[f"expected{suffix}"] = "not stated in source table"
                 continue
             digits = digits_for_bound(expected)
-            bound, computed = cell(key, half_pi_grid(samples, digits), digits)
+            bound, computed = cell(key, half_pi_grid(samples, digits), digits, refs)
             if show_direction:
                 row["direction"] = bound.direction
             row[f"computed{suffix}"] = computed
@@ -377,25 +411,32 @@ def reproduce_table(table_id: str, samples: int = DEFAULT_SAMPLES) -> list[dict]
 
 # -- figure data ------------------------------------------------------------
 #
-# A curve maps (xs, sins, digits) to one value per x; sins() returns the
-# figure's sin column, computed on first use.
+# A curve maps (xs, refs, digits) to its columns, {name: one value per x};
+# refs(target) gives the references shared by the figure's curves.
 
 
-def _abs_re(build, xs, sins, digits: int) -> list:
+def _abs_re(name: str, build, xs, refs, digits: int) -> dict:
     """|re| of the bound build() against its own reference."""
     bound = build()
-    ref = reference_for(bound.target)
+    ref = refs(bound.target)
     with mp.workdps(digits + 10):
-        return [abs(relative_error(bound, ref, xv, digits)) for xv in xs]
+        return {name: [abs(relative_error(bound, ref, xv, digits)) for xv in xs]}
 
 
-def _sin_minus(build, sign: int, xs, sins, digits: int) -> list:
+def _sin_minus(name: str, build, sign: int, xs, refs, digits: int) -> dict:
     """sign * (sin - p) for the polynomial body p of the sin bound build()."""
     poly = build().body
+    sin = refs("sin")
     with mp.workdps(digits + 10):
-        return [
-            sign * (sv - horner_eval(poly, xv, digits)) for xv, sv in zip(xs, sins())
-        ]
+        return {
+            name: [sign * (sin(xv, digits) - horner_eval(poly, xv, digits)) for xv in xs]
+        }
+
+
+def _series_curves(prefix: str, variant: str, ns, xs, refs, digits: int) -> dict:
+    """One column <prefix>_<n> per series truncation n in ns."""
+    cols = _series_re(variant, ns, xs, refs, digits)
+    return {f"{prefix}_{n}": col for n, col in cols.items()}
 
 
 def _table11(row: int, direction: str) -> BoundFn:
@@ -403,32 +444,32 @@ def _table11(row: int, direction: str) -> BoundFn:
     return next(b for b in baseline_catalog() if (b.family, b.direction) == key)
 
 
-# figure id -> its columns after x, as (name, curve)
+# figure id -> its curves, whose columns follow x in order
 _FIGURES = {
     "1": [
-        (f"table11_{r}_{d}", partial(_abs_re, lambda r=r, d=d: _table11(r, d)))
+        partial(_abs_re, f"table11_{r}_{d}", lambda r=r, d=d: _table11(r, d))
         for r in (1, 2, 4, 5, 8, 10)
         for d in ("lower", "upper")
     ],
     "2": [
-        (f"zhu_{n}_{d}", partial(_abs_re, lambda n=n, d=d: zhu_bound(n, d)))
+        partial(_abs_re, f"zhu_{n}_{d}", lambda n=n, d=d: zhu_bound(n, d))
         for n in range(3)
         for d in ("lower", "upper")
     ],
-    "3": [(f"spline_{n}", partial(_abs_re, lambda n=n: sine_lower(n))) for n in range(1, 5)]
-    + [(f"taylor_{k}", partial(_abs_re, lambda k=k: taylor_sine(k))) for k in range(1, 10, 2)],
+    "3": [partial(_abs_re, f"spline_{n}", lambda n=n: sine_lower(n)) for n in range(1, 5)]
+    + [partial(_abs_re, f"taylor_{k}", lambda k=k: taylor_sine(k)) for k in range(1, 10, 2)],
     "4": [
-        (f"err_spline_{n}", partial(_sin_minus, lambda n=n: sine_lower(n), 1))
+        partial(_sin_minus, f"err_spline_{n}", lambda n=n: sine_lower(n), 1)
         for n in range(1, 5)
     ],
-    "5": [(f"series1_{n}", partial(_series_column, "order1", n)) for n in range(1, 10)],
-    "6": [(f"series2_{n}", partial(_series_column, "order2", n)) for n in range(2, 10)],
+    "5": [partial(_series_curves, "series1", "order1", range(1, 10))],
+    "6": [partial(_series_curves, "series2", "order2", range(2, 10))],
     "7": [
-        (f"err_upper_{n}", partial(_sin_minus, lambda n=n: sine_upper(n), -1))
+        partial(_sin_minus, f"err_upper_{n}", lambda n=n: sine_upper(n), -1)
         for n in range(2, 5)
     ],
-    "8": [(f"si_spline_{n}", partial(_abs_re, lambda n=n: si_lower(n))) for n in range(1, 5)]
-    + [("lv", partial(_abs_re, lambda: lv_si_lower()))],
+    "8": [partial(_abs_re, f"si_spline_{n}", lambda n=n: si_lower(n)) for n in range(1, 5)]
+    + [partial(_abs_re, "lv", lambda: lv_si_lower())],
 }
 
 
@@ -440,8 +481,8 @@ def figure_data(figure_id: str, grid: Grid | None = None) -> dict:
     grid = grid or half_pi_grid(DEFAULT_SAMPLES, DEFAULT_DIGITS)
     digits = grid.digits
     xs = grid.points(digits)
-    sins = cache(lambda: _sin_column(xs, digits))
+    refs = _call_references()
     cols: dict[str, list] = {"x": xs}
-    for name, curve in _FIGURES[figure_id]:
-        cols[name] = curve(xs, sins, digits)
+    for curve in _FIGURES[figure_id]:
+        cols.update(curve(xs, refs, digits))
     return {"figure": figure_id, "samples": grid.count, "digits": digits, "columns": cols}

@@ -274,10 +274,29 @@ def _k0():  # row 10's k0, which makes its lower form sharp at pi/2
     return (8 * mp.pi - 24) / (mp.pi**3 - 2 * mp.pi**2)
 
 
+@cache
+def _p0(prec: int) -> mp.mpf:
+    """Row 7's exponent p0 = 0.34730724..., the root of cos(p pi/2)^(1/p)
+    = 2/pi, at `prec` bits: it makes the lower form sharp at pi/2.  The
+    published 0.3473 is p0 rounded down, and with it the form exceeds 2/pi
+    at pi/2 by 6.7e-6."""
+    with mp.workprec(prec):
+        return mp.findroot(
+            lambda p: mp.log(mp.cos(p * mp.pi / 2)) / p - mp.log(2 / mp.pi),
+            mp.mpf("0.3473"),
+        )
+
+
+def _row7_lower(x):
+    p = _p0(mp.mp.prec)
+    return mp.cos(p * x) ** (1 / p)
+
+
 # (family, order, direction, sin(x)/x formula, value at x = 0 where the
 # formula is 0/0 there); each formula keeps the operation order of its
 # transcription, so its rounding is that of the published form.  Row 5
-# (Hua) is implemented as transcribed; its x -> 0 limit is 1.
+# (Hua) is implemented as transcribed; its x -> 0 limit is 1.  Row 7 uses
+# the exact p0 where the table prints it rounded down.
 _CATALOG = (
     ("jordan", 0, "lower", lambda x: 2 / mp.pi, None),
     ("jordan", 0, "upper", lambda x: mp.mpf(1), None),
@@ -301,8 +320,7 @@ _CATALOG = (
      - _tan_half_ratio_sq(x), 1),
     ("table11_6", 6, "lower", lambda x: (2 / mp.pi) ** (4 * x**2 / mp.pi**2), None),
     ("table11_6", 6, "upper", lambda x: mp.exp(-(x**2) / 6), None),
-    ("table11_7", 7, "lower",
-     lambda x: mp.cos(mp.mpf("0.3473") * x) ** (1 / mp.mpf("0.3473")), None),
+    ("table11_7", 7, "lower", _row7_lower, None),
     ("table11_7", 7, "upper", lambda x: mp.cos(x / 3) ** 3, None),
     ("table11_8", 8, "lower", lambda x: (28 / mp.pi + 6 * mp.cos(x)) / (14 + mp.cos(x)), None),
     ("table11_8", 8, "upper", _cos_ratio, None),

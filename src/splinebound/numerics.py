@@ -16,6 +16,7 @@ from math import lcm
 from typing import Iterable, Mapping, Union
 
 import mpmath as mp
+from mpmath.libmp import fzero, mpf_add, mpf_mul, round_nearest
 
 
 class PiRational:
@@ -212,9 +213,11 @@ class Poly:
     Coefficients are PiRational, held in a tuple
     because one Poly can be shared by every caller (`sine_spline` memoises
     its result); trailing zeros are trimmed so the degree is canonical.
+    The tuple is never replaced, so `horner_eval` keeps the coefficients'
+    raw mpf values on the instance, once per `digits`.
     """
 
-    __slots__ = ("coefficients", "variable")
+    __slots__ = ("coefficients", "variable", "_converted")
 
     def __init__(self, coefficients: Iterable[PiRational], variable: Var = Var.X_ON_0_HALFPI):
         coeffs = list(coefficients)
@@ -222,6 +225,7 @@ class Poly:
             coeffs.pop()
         self.coefficients = tuple(coeffs)
         self.variable = variable
+        self._converted = None
 
     @property
     def degree(self) -> int:
@@ -325,6 +329,19 @@ class Poly:
             [PiRational({j: Fraction(v, den) for j, v in t.items()}) for t in out], var
         )
 
+    def _horner_coefficients(self, digits: int) -> tuple:
+        """The raw `_mpf_` values of the coefficients read through
+        `to_ext_real(digits)`, highest power first, converted once per
+        `digits` and kept on the instance."""
+        if self._converted is None:
+            self._converted = {}
+        out = self._converted.get(digits)
+        if out is None:
+            out = self._converted[digits] = tuple(
+                c.to_ext_real(digits)._mpf_ for c in reversed(self.coefficients)
+            )
+        return out
+
     def eval_exact(self, x: PiRational) -> PiRational:
         """Exact evaluation at a pi-rational point."""
         out = PiRational.zero()
@@ -363,14 +380,21 @@ def _add_into(acc: dict[int, int], terms: dict[int, int]) -> None:
 def horner_eval(p: Poly, x, digits: int) -> mp.mpf:
     """Nested-multiplication value of p at x, computed at `digits` working digits.
 
-    Each coefficient is read at that precision through its `to_ext_real`.
+    Each step is acc * x + c with each coefficient read at that precision
+    through its `to_ext_real`, and rounds as the mpf operators do: once to
+    nearest at the working precision after the product and once after the
+    sum.  The steps run on raw `_mpf_` values, and a zero coefficient's sum
+    is skipped, since adding 0 returns the rounded product unchanged.
     """
     with mp.workdps(digits + 10):
-        x = mp.mpf(x)
-        acc = mp.mpf(0)
-        for c in reversed(p.coefficients):
-            acc = acc * x + c.to_ext_real(digits)
-        return acc
+        xv = mp.mpf(x)._mpf_
+        prec = mp.mp.prec
+        acc = fzero
+        for c in p._horner_coefficients(digits):
+            acc = mpf_mul(acc, xv, prec, round_nearest)
+            if c != fzero:
+                acc = mpf_add(acc, c, prec, round_nearest)
+        return mp.make_mpf(acc)
 
 
 def integrate_over_lambda(p: Poly) -> Poly:

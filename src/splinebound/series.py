@@ -104,6 +104,9 @@ class ErrorSeries:
     coeffs: tuple
     start_index: int
 
+    def term_coefficient(self, k: int) -> PiRational:
+        return self.coeffs[k]
+
     def exponent(self, k: int) -> int:
         return exponent_rule(self.spline_order, k)
 
@@ -130,6 +133,19 @@ class ErrorSeries:
         )
 
 
+def _term_sums(series, acc, t, u, ks, digits: int):
+    """Yield (k, acc + the terms so far) after each term c_k t^k u^p(k) of
+    `series`, k in ks, with c_k read at `digits` digits.
+
+    Runs at the caller's working precision.  Each term keeps t^k and u^p as
+    powers, so every sum rounds as a sum evaluated on its own would.
+    """
+    for k in ks:
+        ck = series.term_coefficient(k).to_ext_real(digits)
+        acc += ck * t**k * u ** series.exponent(k)
+        yield k, acc
+
+
 def eval_error_series(series: ErrorSeries, t, digits: int, terms: int) -> mp.mpf:
     """Partial sum of `terms` structural terms starting at the series start,
     at mpf t computed at `digits` working digits.
@@ -142,15 +158,14 @@ def eval_error_series(series: ErrorSeries, t, digits: int, terms: int) -> mp.mpf
             raise ValueError("t must lie in [0, 1]")
         if tv == 0 or tv == 1:
             return mp.mpf(0)
-        one_minus = 1 - tv
+        ks = range(series.start_index, series.start_index + terms)
+        if ks and ks[-1] > series.max_index():
+            raise ValueError(
+                f"series holds coefficients to k={series.max_index()}, need {ks[-1]}"
+            )
         acc = mp.mpf(0)
-        for k in range(series.start_index, series.start_index + terms):
-            if k > series.max_index():
-                raise ValueError(
-                    f"series holds coefficients to k={series.max_index()}, need {k}"
-                )
-            ck = series.coeffs[k].to_ext_real(digits)
-            acc += ck * tv**k * one_minus ** series.exponent(k)
+        for _, acc in _term_sums(series, acc, tv, 1 - tv, ks, digits):
+            pass
         return acc
 
 
@@ -193,24 +208,36 @@ class SineSeries:
     def exponent(self, k: int) -> int:
         return _pair_exponent(1 if self.variant == "order1" else 2, k)
 
+    def partial_sums(self, x, digits: int, n_terms: int):
+        """Yield (n, s_n(x)) for n from one below the first term index to
+        `n_terms`, where s_n is the head plus the series terms k <= n (for
+        the lowest n, the head alone), at mpf x in [0, pi/2] with each
+        coefficient read at `digits` digits.
+
+        One pass of the term loop gives every partial sum.  It runs at the
+        caller's working precision, mp.workdps(digits + 10) for `digits`
+        digits, so iterate it inside that context.
+        """
+        pi = mp.pi
+        if x < 0 or x > pi / 2:
+            raise ValueError("x must lie in [0, pi/2]")
+        t = 2 * x / pi
+        u = 1 - t
+        if self.variant == "order1":
+            acc = t + t * u
+            k0 = 1
+        else:
+            acc = 1 - pi**2 / 8 * u**2
+            k0 = 0
+        yield k0 - 1, acc
+        yield from _term_sums(self, acc, t, u, range(k0, n_terms + 1), digits)
+
     def eval(self, x, digits: int, n_terms: int) -> mp.mpf:
         """Head terms plus series terms k <= n_terms at mpf x in [0, pi/2],
-        computed at `digits` working digits."""
+        computed at `digits` working digits: the last of `partial_sums`."""
         with mp.workdps(digits + 10):
-            pi = mp.pi
-            if x < 0 or x > pi / 2:
-                raise ValueError("x must lie in [0, pi/2]")
-            t = 2 * x / pi
-            u = 1 - t
-            if self.variant == "order1":
-                acc = t + t * u
-                k0 = 1
-            else:
-                acc = 1 - pi**2 / 8 * u**2
-                k0 = 0
-            for k in range(k0, n_terms + 1):
-                ck = self.term_coefficient(k).to_ext_real(digits)
-                acc += ck * t**k * u ** self.exponent(k)
+            for _, acc in self.partial_sums(x, digits, n_terms):
+                pass
             return acc
 
 

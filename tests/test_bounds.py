@@ -215,8 +215,9 @@ def _direction_holds(b, x, digits):
 
 
 # Row 7's published p = 0.3473 is p0 = 0.34730724... (the root of
-# cos(p pi/2)^(1/p) = 2/pi) rounded down, so its lower form lies above
-# sin(x)/x on (1.570443, pi/2]: by 6.7e-6 at pi/2.
+# cos(p pi/2)^(1/p) = 2/pi) rounded down, and with it the lower form lies
+# above sin(x)/x on (1.570443, pi/2]: by 6.7e-6 at pi/2.  The catalog uses
+# p0 itself, which makes the form sharp at pi/2.
 ROW7_LOWER = ("table11_7", "lower")
 
 
@@ -237,18 +238,16 @@ class TestCatalog:
         with mp.workdps(digits + 10):
             for b in baseline_catalog():
                 for x in (mp.mpf(0), mp.pi / 2):
-                    if x != 0 and (b.family, b.direction) == ROW7_LOWER:
-                        continue  # test_row7_lower_at_half_pi
                     assert _direction_holds(b, x, digits), (b.family, b.direction, x)
 
-    @pytest.mark.xfail(
-        strict=True, reason="row 7's p = 0.3473 is rounded down from p0 = 0.34730724..."
-    )
     def test_row7_lower_at_half_pi(self):
         digits = 30
         cat = {(b.family, b.direction): b for b in baseline_catalog()}
         with mp.workdps(digits + 10):
             assert _direction_holds(cat[ROW7_LOWER], mp.pi / 2, digits)
+            # sharp there: 2/pi to within rounding
+            v = cat[ROW7_LOWER].eval_raw(mp.pi / 2, digits)
+            assert abs(v - 2 / mp.pi) < mp.mpf(10) ** (-digits + 5)
 
     def test_row3_sharp_at_half_pi(self):
         digits = 40

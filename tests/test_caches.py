@@ -1,6 +1,7 @@
 """Cached and shared values are bit-identical to computing them afresh.
 
-Exact coefficients are converted once per precision, `sine_spline` and the
+Exact coefficients are converted once per precision, each `Poly` keeps its
+coefficients' raw mpf values once per precision, `sine_spline` and the
 bound builders are built once per order, the cosine reflection once per
 exact value, a figure's sin column is shared by its curves, the Si
 reference is memoised per (x, digits) and `si_reference` computes each term
@@ -8,6 +9,7 @@ once.  Each test compares `_mpf_` tuples (or ==) against a fresh
 computation or a reference kept here.
 """
 
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -15,6 +17,7 @@ import mpmath as mp
 import pytest
 
 from splinebound.analysis import (
+    _call_references,
     certify_direction,
     figure_data,
     half_pi_grid,
@@ -30,7 +33,7 @@ from splinebound.bounds import (
     sine_upper,
 )
 from splinebound.cli import _round_coefficient
-from splinebound.numerics import PiRational, Poly
+from splinebound.numerics import PiRational, Poly, horner_eval
 from splinebound.series import sine_series
 from splinebound.spline import (
     reflect_half_pi,
@@ -53,6 +56,30 @@ def test_conversion_cached_per_precision():
         want = fresh_copy(p).to_ext_real(digits)
         assert got._mpf_ == want._mpf_
     assert p.to_ext_real(90) is first
+
+
+def test_horner_coefficients_kept_on_the_poly():
+    a = sine_spline(3).poly
+    b = Poly([fresh_copy(c) for c in a.coefficients], a.variable)
+    assert a == b and a is not b
+    with mp.workdps(60):
+        x = mp.pi / 5
+    for digits in (50, 90, 50):
+        assert horner_eval(a, x, digits)._mpf_ == horner_eval(b, x, digits)._mpf_
+    # one entry per precision on each instance, each read at its own digits
+    for p in (a, b):
+        assert set(p._converted) >= {50, 90}
+        for digits in (50, 90):
+            assert p._converted[digits] == tuple(
+                c.to_ext_real(digits)._mpf_ for c in reversed(p.coefficients)
+            )
+    assert a._converted[50] != a._converted[90]
+    # no module of the package holds the conversions in a dict keyed by id()
+    for name, module in sys.modules.items():
+        if name == "splinebound" or name.startswith("splinebound."):
+            for value in vars(module).values():
+                if isinstance(value, dict):
+                    assert id(a) not in value and id(b) not in value, name
 
 
 @pytest.mark.parametrize("n", (0, 1, 4, 7))
@@ -162,6 +189,21 @@ def test_si_reference_matches_two_power_loop(digits):
     for xv in half_pi_grid(41, digits).points(digits):
         got = si_reference(xv, digits)
         assert got._mpf_ == si_reference_two_powers(xv, digits)._mpf_
+
+
+def test_call_references_keyed_by_digits():
+    # one x read at two precisions: each keeps its own sin value
+    refs = _call_references()
+    with mp.workdps(100):
+        x = mp.mpf(1) / 3
+    for digits in (50, 90, 50):
+        for target in ("sin", "sinc"):
+            fresh = reference_for(target)
+            with mp.workdps(digits + 10):
+                assert refs(target)(x, digits)._mpf_ == fresh(x, digits)._mpf_
+    with mp.workdps(60):
+        assert refs("sinc")(mp.mpf(0), 50) == 1
+    assert refs("si") is reference_for("si")
 
 
 def test_figure5_shared_sin_column():
