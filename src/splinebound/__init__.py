@@ -6,6 +6,7 @@ from .numerics import (
     Poly,
     Var,
     horner_eval,
+    horner_values,
     integrate_over_lambda,
 )
 from .spline import (
@@ -47,6 +48,7 @@ from .analysis import (
     re_bound_scan,
     reference_for,
     relative_error,
+    relative_errors,
     reproduce_table,
     scale_check,
 )

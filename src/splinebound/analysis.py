@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import mpmath as mp
+from mpmath.libmp import fone, mpf_div, mpf_sub, round_nearest
 
 from .bounds import (
     BoundFn,
@@ -24,7 +25,7 @@ from .bounds import (
     taylor_sine,
     zhu_bound,
 )
-from .numerics import DEFAULT_DIGITS, Poly, digits_for_bound, horner_eval
+from .numerics import DEFAULT_DIGITS, Poly, digits_for_bound, horner_values
 from .series import sine_series
 
 DEFAULT_SAMPLES = 1000
@@ -140,31 +141,54 @@ def _call_references():
     return lambda target: shared.get(target) or reference_for(target)
 
 
-def relative_error(approx: BoundFn, reference, x, digits: int) -> mp.mpf:
-    """re(x) = 1 - approx(x)/reference(x) at mpf x, computed at `digits`
-    working digits, with declared limits at x = 0."""
+def relative_errors(approx: BoundFn, reference, xs, digits: int) -> list:
+    """re(x) = 1 - approx(x)/reference(x) at each mpf x of `xs`, computed at
+    `digits` working digits in one precision context, with declared limits
+    at x = 0.  Each value takes the two roundings of the mpf operators:
+    the quotient, then the difference, each to nearest at the working
+    precision."""
     with mp.workdps(digits + 10):
-        xv = mp.mpf(x)
-        if xv == 0 and approx.target in ("sin", "si"):
-            return 1 - approx.ratio_at_zero(digits)
-        ref = reference(xv, digits)
-        if approx.target == "cos" and abs(ref) < mp.mpf(10) ** (-digits // 2):
-            # x is within rounding distance of pi/2, where bound and cosine
-            # share an exact zero: use the l'Hopital limit of the ratio
-            return 1 - approx.ratio_at_half_pi(digits)
-        if ref == 0:
-            raise ZeroDivisionError("reference vanishes with no declared limit")
-        return 1 - approx.eval_raw(xv, digits) / ref
+        prec = mp.mp.prec
+        # a cos reference below this is within rounding distance of pi/2
+        near_half_pi = mp.mpf(10) ** (-digits // 2) if approx.target == "cos" else None
+        out = []
+        at, body_xs, refs = [], [], []
+        for xv in xs:
+            xv = mp.mpf(xv)
+            if xv == 0 and approx.target in ("sin", "si"):
+                out.append(1 - approx.ratio_at_zero(digits))
+                continue
+            ref = reference(xv, digits)
+            if near_half_pi is not None and abs(ref) < near_half_pi:
+                # bound and cosine share an exact zero at pi/2: use the
+                # l'Hopital limit of the ratio
+                out.append(1 - approx.ratio_at_half_pi(digits))
+                continue
+            if ref == 0:
+                raise ZeroDivisionError("reference vanishes with no declared limit")
+            at.append(len(out))
+            out.append(None)
+            body_xs.append(xv)
+            refs.append(ref._mpf_)
+        values = approx.eval_values(body_xs, digits)
+        for i, a, r in zip(at, values, refs):
+            q = mpf_div(a._mpf_, r, prec, round_nearest)
+            out[i] = mp.make_mpf(mpf_sub(fone, q, prec, round_nearest))
+        return out
+
+
+def relative_error(approx: BoundFn, reference, x, digits: int) -> mp.mpf:
+    """re at one mpf x: `relative_errors` of the column [x]."""
+    return relative_errors(approx, reference, [x], digits)[0]
 
 
 def _scan_once(approx: BoundFn, reference, grid: Grid, digits: int):
     with mp.workdps(digits + 10):
-        values = []
+        xs = grid.points(digits)
+        values = relative_errors(approx, reference, xs, digits)
         best = mp.mpf(0)
         arg = mp.mpf(grid.left)
-        for xv in grid.points(digits):
-            re = relative_error(approx, reference, xv, digits)
-            values.append(re)
+        for xv, re in zip(xs, values):
             if abs(re) > best:
                 best = abs(re)
                 arg = xv
@@ -248,13 +272,14 @@ def scale_check(f0_form: BoundFn, grid: Grid, digits: int | None = None) -> dict
     max_dev = mp.mpf(0)
     with mp.workdps(digits + 10):
         pi = +mp.pi
-        for xv in grid.points(digits):
-            re_x = relative_error(f0_form, reference, xv, digits)
-            t = 2 * xv / pi
+        xs = grid.points(digits)
+        ts = [2 * xv / pi for xv in xs]
+        re_xs = relative_errors(f0_form, reference, xs, digits)
+        for re_x, t, p_t in zip(re_xs, ts, horner_values(t_poly, ts, digits)):
             if t == 0:
                 re_t = re_x  # both use the same declared limit at 0
             else:
-                re_t = 1 - horner_eval(t_poly, t, digits) / mp.sin(pi * t / 2)
+                re_t = 1 - p_t / mp.sin(pi * t / 2)
             max_dev = max(max_dev, abs(re_x - re_t))
     return {
         "max_deviation": max_dev,
@@ -420,7 +445,7 @@ def _abs_re(name: str, build, xs, refs, digits: int) -> dict:
     bound = build()
     ref = refs(bound.target)
     with mp.workdps(digits + 10):
-        return {name: [abs(relative_error(bound, ref, xv, digits)) for xv in xs]}
+        return {name: [abs(v) for v in relative_errors(bound, ref, xs, digits)]}
 
 
 def _sin_minus(name: str, build, sign: int, xs, refs, digits: int) -> dict:
@@ -428,9 +453,8 @@ def _sin_minus(name: str, build, sign: int, xs, refs, digits: int) -> dict:
     poly = build().body
     sin = refs("sin")
     with mp.workdps(digits + 10):
-        return {
-            name: [sign * (sin(xv, digits) - horner_eval(poly, xv, digits)) for xv in xs]
-        }
+        values = horner_values(poly, xs, digits)
+        return {name: [sign * (sin(xv, digits) - p) for xv, p in zip(xs, values)]}
 
 
 def _series_curves(prefix: str, variant: str, ns, xs, refs, digits: int) -> dict:

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Union
 
 import mpmath as mp
 
-from .numerics import PiRational, Poly, horner_eval
+from .numerics import PiRational, Poly, horner_eval, horner_values
 from .series import order1_coefficients, order2_coefficients
 from .spline import reflect_half_pi, sine_spline
 
@@ -30,9 +30,9 @@ class BoundFn:
     claims no direction.  The builders below return one shared instance per
     argument value: treat it as immutable.
 
-    A callable body is called as body(x, digits) by `eval_raw` only, with an
-    mpf x and inside mp.workdps(digits + 10); so a body neither converts x
-    nor sets a precision of its own.
+    A callable body is called as body(x, digits) by `eval_values` only,
+    with an mpf x and inside mp.workdps(digits + 10); so a body neither
+    converts x nor sets a precision of its own.
     """
 
     family: str
@@ -44,12 +44,17 @@ class BoundFn:
     # that the ratio is regular at 0.
     zero_ratio: Optional[Callable[[int], mp.mpf]] = field(default=None, compare=False)
 
-    def eval_raw(self, x, digits: int):
-        """Body value at mpf x, computed at `digits` working digits."""
+    def eval_values(self, xs, digits: int) -> list:
+        """Body values at each mpf x of `xs`, computed at `digits` working
+        digits in one precision context."""
         if isinstance(self.body, Poly):
-            return horner_eval(self.body, x, digits)
+            return horner_values(self.body, xs, digits)
         with mp.workdps(digits + 10):
-            return self.body(mp.mpf(x), digits)
+            return [self.body(mp.mpf(x), digits) for x in xs]
+
+    def eval_raw(self, x, digits: int):
+        """Body value at one mpf x: `eval_values` of the column [x]."""
+        return self.eval_values([x], digits)[0]
 
     def ratio_at_zero(self, digits: int):
         """lim body(x)/target(x) as x -> 0+, for removable singularities."""
@@ -217,19 +222,30 @@ def zhu_alpha(n: int) -> list[PiRational]:
 def zhu_bound(n: int, direction: str) -> BoundFn:
     """Order-n Zhu bound for sin(x)/x in the variable u = pi^2 - 4x^2."""
     alpha = zhu_alpha(n + 1)
+    consts = {}
+
+    def constants(digits):
+        # alpha_k, pi^2, the head sum and pi^(2n+2) depend on no point:
+        # each is computed once per (digits, working precision)
+        key = (digits, mp.mp.prec)
+        out = consts.get(key)
+        if out is None:
+            pi = mp.pi
+            av = [a.to_ext_real(digits) for a in alpha]
+            head = sum(av[k] * pi ** (2 * k) for k in range(n + 1))
+            out = consts[key] = (av, pi**2, head, pi ** (2 * n + 2))
+        return out
 
     def body(x, digits):
-        pi = mp.pi
-        u = pi**2 - 4 * x**2
-        av = [a.to_ext_real(digits) for a in alpha]
+        av, pi2, head, pi_top = constants(digits)
+        u = pi2 - 4 * x**2
         acc = mp.mpf(0)
         for k in range(n + 1):
             acc += av[k] * u**k
         if direction == "lower":
             acc += av[n + 1] * u ** (n + 1)
         else:
-            head = sum(av[k] * pi ** (2 * k) for k in range(n + 1))
-            acc += (1 - head) * u ** (n + 1) / pi ** (2 * n + 2)
+            acc += (1 - head) * u ** (n + 1) / pi_top
         return acc
 
     return BoundFn("zhu", n, direction, "sinc", body)

@@ -16,7 +16,7 @@ from math import lcm
 from typing import Iterable, Mapping, Union
 
 import mpmath as mp
-from mpmath.libmp import fzero, mpf_add, mpf_mul, round_nearest
+from mpmath.libmp import from_man_exp
 
 
 class PiRational:
@@ -213,8 +213,8 @@ class Poly:
     Coefficients are PiRational, held in a tuple
     because one Poly can be shared by every caller (`sine_spline` memoises
     its result); trailing zeros are trimmed so the degree is canonical.
-    The tuple is never replaced, so `horner_eval` keeps the coefficients'
-    raw mpf values on the instance, once per `digits`.
+    The tuple is never replaced, so `horner_values` keeps the coefficients'
+    integer mantissas and exponents on the instance, once per `digits`.
     """
 
     __slots__ = ("coefficients", "variable", "_converted")
@@ -330,15 +330,15 @@ class Poly:
         )
 
     def _horner_coefficients(self, digits: int) -> tuple:
-        """The raw `_mpf_` values of the coefficients read through
-        `to_ext_real(digits)`, highest power first, converted once per
-        `digits` and kept on the instance."""
+        """The coefficients read through `to_ext_real(digits)` as signed
+        (mantissa, exponent) pairs, highest power first, converted once
+        per `digits` and kept on the instance."""
         if self._converted is None:
             self._converted = {}
         out = self._converted.get(digits)
         if out is None:
             out = self._converted[digits] = tuple(
-                c.to_ext_real(digits)._mpf_ for c in reversed(self.coefficients)
+                _signed(c.to_ext_real(digits)._mpf_) for c in reversed(self.coefficients)
             )
         return out
 
@@ -348,6 +348,12 @@ class Poly:
         for c in reversed(self.coefficients):
             out = out * x + c
         return out
+
+
+def _signed(v: tuple) -> tuple:
+    """An `_mpf_` value as a signed (mantissa, exponent) pair."""
+    sign, man, exp, _ = v
+    return (-man if sign else man), exp
 
 
 def _numerators(p: PiRational, den: int) -> dict[int, int]:
@@ -377,24 +383,70 @@ def _add_into(acc: dict[int, int], terms: dict[int, int]) -> None:
             del acc[j]
 
 
-def horner_eval(p: Poly, x, digits: int) -> mp.mpf:
-    """Nested-multiplication value of p at x, computed at `digits` working digits.
+def horner_values(p: Poly, xs, digits: int) -> list:
+    """Nested-multiplication values of p at each x of `xs`, computed at
+    `digits` working digits in one precision context.
 
     Each step is acc * x + c with each coefficient read at that precision
     through its `to_ext_real`, and rounds as the mpf operators do: once to
-    nearest at the working precision after the product and once after the
-    sum.  The steps run on raw `_mpf_` values, and a zero coefficient's sum
-    is skipped, since adding 0 returns the rounded product unchanged.
+    nearest (ties to even) at the working precision after the product and
+    once after the sum.  Each x is rounded on entry with `mp.mpf(x)`.  The
+    steps run on signed integer mantissas: the product and the aligned sum
+    are exact integers, and a correctly rounded value of an exact one is
+    unique, so each step gives the bits `mpf_mul` and `mpf_add` give.  A
+    zero coefficient's sum is skipped, since adding 0 returns the rounded
+    product unchanged.
     """
     with mp.workdps(digits + 10):
-        xv = mp.mpf(x)._mpf_
         prec = mp.mp.prec
-        acc = fzero
-        for c in p._horner_coefficients(digits):
-            acc = mpf_mul(acc, xv, prec, round_nearest)
-            if c != fzero:
-                acc = mpf_add(acc, c, prec, round_nearest)
-        return mp.make_mpf(acc)
+        # both operands of a sum hold at most prec + 1 bits, so beyond this
+        # exponent gap the smaller lies wholly under half an ulp of the
+        # larger, which is then the rounded sum; the shift is not made
+        gap = 2 * prec + 8
+        coeffs = p._horner_coefficients(digits)
+        out = []
+        for x in xs:
+            sign, xm, xe, _ = mp.mpf(x)._mpf_
+            if not xm and xe:
+                raise ValueError(f"horner_values needs a finite x, got {x}")
+            if sign:
+                xm = -xm
+            m = e = 0
+            for cm, ce in coeffs:
+                if m:
+                    m, e = _round(m * xm, e + xe, prec)
+                if not cm:
+                    continue
+                if not m:
+                    m, e = cm, ce
+                elif e - ce > gap:
+                    pass
+                elif ce - e > gap:
+                    m, e = cm, ce
+                elif e >= ce:
+                    m, e = _round((m << (e - ce)) + cm, ce, prec)
+                else:
+                    m, e = _round(m + (cm << (ce - e)), e, prec)
+            out.append(mp.make_mpf(from_man_exp(m, e)))
+        return out
+
+
+def _round(m: int, e: int, prec: int) -> tuple:
+    """m * 2**e rounded to `prec` significant bits, to nearest with ties
+    to even, as a signed (mantissa, exponent) pair.  The shifts floor, so
+    the dropped bits read as a remainder in [0, 2**n) for either sign."""
+    n = m.bit_length() - prec
+    if n <= 0:
+        return m, e
+    q = m >> (n - 1)
+    if q & 1 and (q & 2 or (q << (n - 1)) != m):
+        return (q >> 1) + 1, e + n
+    return q >> 1, e + n
+
+
+def horner_eval(p: Poly, x, digits: int) -> mp.mpf:
+    """p at one point x: `horner_values` of the column [x]."""
+    return horner_values(p, [x], digits)[0]
 
 
 def integrate_over_lambda(p: Poly) -> Poly:

@@ -1,11 +1,12 @@
 """Cached and shared values are bit-identical to computing them afresh.
 
 Exact coefficients are converted once per precision, each `Poly` keeps its
-coefficients' raw mpf values once per precision, `sine_spline` and the
-bound builders are built once per order, the cosine reflection once per
-exact value, a figure's sin column is shared by its curves, the Si
-reference is memoised per (x, digits) and `si_reference` computes each term
-once.  Each test compares `_mpf_` tuples (or ==) against a fresh
+coefficients' signed integer mantissas and exponents once per precision,
+`sine_spline` and the bound builders are built once per order, the cosine
+reflection once per exact value, a figure's sin column is shared by its
+curves, the Si reference is memoised per (x, digits), `si_reference`
+computes each term once and each Zhu bound computes its constants once per
+precision.  Each test compares `_mpf_` tuples (or ==) against a fresh
 computation or a reference kept here.
 """
 
@@ -31,6 +32,8 @@ from splinebound.bounds import (
     si_reference,
     sine_lower,
     sine_upper,
+    zhu_alpha,
+    zhu_bound,
 )
 from splinebound.cli import _round_coefficient
 from splinebound.numerics import PiRational, Poly, horner_eval
@@ -67,12 +70,16 @@ def test_horner_coefficients_kept_on_the_poly():
     for digits in (50, 90, 50):
         assert horner_eval(a, x, digits)._mpf_ == horner_eval(b, x, digits)._mpf_
     # one entry per precision on each instance, each read at its own digits
+    # as a signed (mantissa, exponent) pair
     for p in (a, b):
         assert set(p._converted) >= {50, 90}
         for digits in (50, 90):
-            assert p._converted[digits] == tuple(
-                c.to_ext_real(digits)._mpf_ for c in reversed(p.coefficients)
-            )
+            expected = []
+            for c in reversed(p.coefficients):
+                sign, man, exp, _ = c.to_ext_real(digits)._mpf_
+                expected.append((-man if sign else man, exp))
+            assert p._converted[digits] == tuple(expected)
+            assert any(m < 0 for m, _ in expected)
     assert a._converted[50] != a._converted[90]
     # no module of the package holds the conversions in a dict keyed by id()
     for name, module in sys.modules.items():
@@ -219,3 +226,32 @@ def test_figure5_shared_sin_column():
                 for xv in grid.points(digits)
             ]
         assert [v._mpf_ for v in cols[f"series1_{n}"]] == [v._mpf_ for v in expected]
+
+
+def zhu_body_per_point(n, direction, x, digits):
+    # the former body: every constant recomputed at each point
+    alpha = zhu_alpha(n + 1)
+    with mp.workdps(digits + 10):
+        pi = mp.pi
+        u = pi**2 - 4 * x**2
+        av = [a.to_ext_real(digits) for a in alpha]
+        acc = mp.mpf(0)
+        for k in range(n + 1):
+            acc += av[k] * u**k
+        if direction == "lower":
+            acc += av[n + 1] * u ** (n + 1)
+        else:
+            head = sum(av[k] * pi ** (2 * k) for k in range(n + 1))
+            acc += (1 - head) * u ** (n + 1) / pi ** (2 * n + 2)
+        return acc
+
+
+@pytest.mark.parametrize("direction", ("lower", "upper"))
+@pytest.mark.parametrize("n", (0, 1, 2))
+def test_zhu_constants_kept_per_precision(n, direction):
+    bound = zhu_bound(n, direction)
+    for digits in (50, 90, 50):
+        xs = half_pi_grid(9, digits).points(digits)
+        got = bound.eval_values(xs, digits)
+        want = [zhu_body_per_point(n, direction, x, digits) for x in xs]
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in want]

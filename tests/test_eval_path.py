@@ -8,8 +8,11 @@ reference value at every point.  Each site must return the identical mpf
 (==, not a tolerance).
 """
 
+from fractions import Fraction
+
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splinebound.analysis import (
     figure_data,
@@ -17,19 +20,27 @@ from splinebound.analysis import (
     re_bound_scan,
     reference_for,
     relative_error,
+    relative_errors,
     reproduce_table,
 )
 from splinebound.bounds import (
     baseline_catalog,
     reflect_to_cos,
     si_lower,
+    si_reference,
     sine_lower,
     sine_upper,
     taylor_sine,
     zhu_bound,
 )
 from splinebound.cli import codegen_kernel
-from splinebound.numerics import digits_for_bound, horner_eval
+from splinebound.numerics import (
+    PiRational,
+    Poly,
+    digits_for_bound,
+    horner_eval,
+    horner_values,
+)
 from splinebound.series import sine_series, sine_series_eval
 
 DIGITS = (50, 90)
@@ -219,3 +230,119 @@ def test_table_rows_share_references():
         grid = half_pi_grid(40, digits)
         rep = re_bound_scan(taylor_sine(row["order"]), reference_for("sin"), grid, digits)
         assert row["computed"] == rep.re_bound, row["order"]
+
+
+# -- the integer-mantissa kernel against the mpf loop ------------------------
+
+fracs = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+    # dyadic values have few bits, so steps often round an exact tie
+    st.builds(Fraction, st.integers(-(2**60), 2**60), st.sampled_from([1, 2**20, 2**45])),
+)
+pi_rationals = st.dictionaries(st.integers(-4, 4), fracs, max_size=3).map(PiRational)
+# zero coefficients are drawn often, not left to chance
+coefficients = st.one_of(st.just(PiRational.zero()), pi_rationals)
+
+
+@st.composite
+def columns(draw):
+    """(poly, xs, digits): a pi-rational polynomial with zero coefficients,
+    and points that are negative, wider than the working precision, or a
+    root of the polynomial, where its terms cancel."""
+    digits = draw(st.integers(1, 220))
+    coeffs = draw(st.lists(coefficients, min_size=1, max_size=12))
+    root = PiRational(draw(st.dictionaries(st.integers(-1, 1), fracs, min_size=1, max_size=2)))
+    if draw(st.booleans()):
+        # make `root` an exact zero: p(root) = 0, so rounding is all that is left
+        coeffs[0] = coeffs[0] - Poly(coeffs).eval_exact(root)
+    xs = [root.to_ext_real(digits + 30)]
+    with mp.workdps(digits + 40):
+        for v in draw(st.lists(st.floats(-4, 4, allow_nan=False), min_size=1, max_size=4)):
+            k = draw(st.one_of(st.just(0), st.integers(-(10**6), 10**6)))
+            xs.append(mp.mpf(v) + mp.pi / 10**12 * k)
+    return Poly(coeffs), xs, digits
+
+
+@given(columns())
+@settings(max_examples=300, deadline=None)
+def test_horner_values_match_mpf_loop(case):
+    poly, xs, digits = case
+    got = horner_values(poly, xs, digits)
+    assert [v._mpf_ for v in got] == [ref_horner(poly, x, digits)._mpf_ for x in xs]
+
+
+@pytest.mark.parametrize("digits", (1, 50, 220))
+def test_horner_exact_ties(digits):
+    # two steps whose exact result lies exactly half an ulp between its two
+    # neighbours at the working precision, so ties-to-even decides:
+    # the product 3x at x = 1 - 2^(1-prec), and the sum x + 1 at x = 1 - 2^-prec
+    with mp.workdps(digits + 10):
+        prec = mp.mp.prec
+    three, one = PiRational.from_rational(3), PiRational.one()
+    # (poly, x = num / 2^scale, exact step result times 2^scale)
+    cases = [
+        (Poly([PiRational.zero(), three]), 2 ** (prec - 1) - 1, prec - 1, 3 * (2 ** (prec - 1) - 1)),
+        (Poly([one, one]), 2**prec - 1, prec, 2 ** (prec + 1) - 1),
+    ]
+    for poly, num, scale, exact in cases:
+        dropped = exact.bit_length() - prec
+        assert dropped == 1 and exact % 2**dropped == 2 ** (dropped - 1)
+        q = exact >> dropped
+        even = (q + (q & 1)) << dropped  # the neighbour with an even mantissa
+        with mp.workdps(digits + 10):
+            x = mp.mpf(num) / 2**scale
+            want = mp.mpf(even) / 2**scale
+        assert horner_eval(poly, x, digits) == ref_horner(poly, x, digits) == want
+
+
+@pytest.mark.parametrize("x", (mp.inf, -mp.inf, mp.nan))
+def test_horner_rejects_non_finite_x(x):
+    # inf and nan have mantissa 0, which the integer loop would read as 0
+    poly = sine_lower(3).body
+    for call in (
+        lambda: horner_values(poly, [mp.mpf(1), x], 50),
+        lambda: horner_eval(poly, x, 50),
+        lambda: sine_lower(3).eval_raw(x, 50),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
+@pytest.mark.parametrize("digits", (20, 50))
+def test_horner_far_apart_exponents(digits):
+    # the product and the coefficient are too far apart to overlap at the
+    # working precision: the larger one is the rounded sum
+    poly = sine_lower(3).body
+    with mp.workdps(digits + 10):
+        xs = [mp.mpf("1e-5000"), -mp.mpf("3e-900"), mp.mpf("1e900"), -mp.mpf("7e4000")]
+    assert horner_values(poly, xs, digits) == [ref_horner(poly, x, digits) for x in xs]
+
+
+def ref_relative_error(bound, x, digits):
+    """1 - body(x)/target(x) at one point, with the declared limits at 0
+    (sin, si) and at pi/2 (cos), from the reference loops above."""
+    with mp.workdps(digits + 10):
+        x = mp.mpf(x)
+        if bound.target in ("sin", "si") and x == 0:
+            return 1 - bound.body.coeff(1).to_ext_real(digits)
+        if bound.target == "si":
+            ref = si_reference(x, digits)
+        else:
+            ref = getattr(mp, bound.target)(x)
+        if bound.target == "cos" and abs(ref) < mp.mpf(10) ** (-digits // 2):
+            return 1 - (-ref_horner(bound.body.derivative(), mp.pi / 2, digits))
+        return 1 - ref_horner(bound.body, x, digits) / ref
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+@pytest.mark.parametrize(
+    "name", ("sine_lower_3", "sine_upper_4", "cos_lower_2", "cos_upper_5", "si_lower_3", "kernel_cos_2")
+)
+def test_relative_errors_column(name, digits):
+    b = BOUNDS[name]()
+    xs = half_pi_grid(33, digits).points(digits) + points(digits)
+    with mp.workdps(digits + 40):
+        xs.append(mp.pi / 2 - mp.mpf(10) ** -(digits + 5))  # within rounding of pi/2
+    got = relative_errors(b, reference_for(b.target), xs, digits)
+    assert [v._mpf_ for v in got] == [ref_relative_error(b, x, digits)._mpf_ for x in xs]
+    assert relative_error(b, reference_for(b.target), xs[5], digits) == got[5]
