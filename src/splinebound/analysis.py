@@ -12,10 +12,11 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import mpmath as mp
-from mpmath.libmp import fone, mpf_div, mpf_sub, round_nearest
+from mpmath.libmp import fone, mpf_abs, mpf_div, mpf_sub, round_nearest
 
 from .bounds import (
     BoundFn,
+    CatalogPoint,
     baseline_catalog,
     lv_si_lower,
     si_lower,
@@ -23,7 +24,8 @@ from .bounds import (
     sine_lower,
     sine_upper,
     taylor_sine,
-    zhu_bound,
+    zhu_constants,
+    zhu_values,
 )
 from .numerics import DEFAULT_DIGITS, Poly, digits_for_bound, horner_values
 from .series import sine_series
@@ -348,24 +350,35 @@ def matches_sig_figs(computed, expected, sig: int = 3) -> bool:
         )
 
 
+def _abs_re_raw(a, r, prec: int) -> mp.mpf:
+    """|1 - a/r| for raw _mpf_ values a and r, with the roundings of the mpf
+    operators at `prec` bits: the quotient, the difference and the absolute
+    value, each to nearest."""
+    q = mpf_div(a, r, prec, round_nearest)
+    return mp.make_mpf(mpf_abs(mpf_sub(fone, q, prec, round_nearest), prec, round_nearest))
+
+
 def _series_re(variant: str, ns, xs, refs, digits: int) -> dict:
     """{n: |1 - s_n(x)/sin(x)| at each x} for the partial sums s_n, n in ns,
-    0 at x = 0 where every s_n is exact in the limit.  One pass of the term
-    loop at each x gives every column; sin comes from refs("sin")."""
+    0 at x = 0 where every s_n is exact in the limit.  Each coefficient is
+    read once, and one pass of the term loop at each x gives every column;
+    sin comes from refs("sin")."""
     last = max(ns)
     s = sine_series(variant, last)
     sin = refs("sin")
     cols = {n: [] for n in ns}
     with mp.workdps(digits + 10):
+        prec = mp.mp.prec
+        terms = s.read_terms(digits, last)
         for xv in xs:
             if xv == 0:
                 for col in cols.values():
                     col.append(mp.mpf(0))
                 continue
-            sv = sin(xv, digits)
-            for n, acc in s.partial_sums(xv, digits, last):
+            sv = sin(xv, digits)._mpf_
+            for n, acc in s.sums_at(xv, terms):
                 if n in cols:
-                    cols[n].append(abs(1 - acc / sv))
+                    cols[n].append(_abs_re_raw(acc._mpf_, sv, prec))
     return cols
 
 
@@ -463,23 +476,52 @@ def _series_curves(prefix: str, variant: str, ns, xs, refs, digits: int) -> dict
     return {f"{prefix}_{n}": col for n, col in cols.items()}
 
 
-def _table11(row: int, direction: str) -> BoundFn:
-    key = (f"table11_{row}", direction)
-    return next(b for b in baseline_catalog() if (b.family, b.direction) == key)
+def _sinc_curves(names, values_at, xs, refs, digits: int) -> dict:
+    """|re| against sin(x)/x of the curves `names`, whose values at one mpf
+    x values_at(x) gives together, in that order: one pass over xs, with
+    one reference per x and the two roundings of `relative_errors`."""
+    sinc = refs("sinc")
+    cols = [[] for _ in names]
+    with mp.workdps(digits + 10):
+        prec = mp.mp.prec
+        for xv in xs:
+            xv = mp.mpf(xv)
+            r = sinc(xv, digits)._mpf_
+            for col, a in zip(cols, values_at(xv)):
+                col.append(_abs_re_raw(a._mpf_, r, prec))
+    return dict(zip(names, cols))
+
+
+def _table11_curves(rows, xs, refs, digits: int) -> dict:
+    """Columns table11_<row>_<direction> of the published Table 1.1 rows,
+    whose formulas read one shared CatalogPoint at each x."""
+    keys = [(r, d) for r in rows for d in ("lower", "upper")]
+    catalog = {(b.family, b.direction): b.body for b in baseline_catalog()}
+    bodies = [catalog[(f"table11_{r}", d)] for r, d in keys]
+    sin = refs("sin")
+
+    def values_at(xv):
+        p = CatalogPoint(xv, sin(xv, digits))
+        return [body.at(p) for body in bodies]
+
+    names = [f"table11_{r}_{d}" for r, d in keys]
+    return _sinc_curves(names, values_at, xs, refs, digits)
+
+
+def _zhu_curves(ns, xs, refs, digits: int) -> dict:
+    """Columns zhu_<n>_<direction>, all from one pass of `zhu_values` at
+    each x."""
+    columns = [(n, d) for n in ns for d in ("lower", "upper")]
+    with mp.workdps(digits + 10):
+        constants = zhu_constants(max(ns), digits)
+    names = [f"zhu_{n}_{d}" for n, d in columns]
+    return _sinc_curves(names, lambda xv: zhu_values(xv, constants, columns), xs, refs, digits)
 
 
 # figure id -> its curves, whose columns follow x in order
 _FIGURES = {
-    "1": [
-        partial(_abs_re, f"table11_{r}_{d}", lambda r=r, d=d: _table11(r, d))
-        for r in (1, 2, 4, 5, 8, 10)
-        for d in ("lower", "upper")
-    ],
-    "2": [
-        partial(_abs_re, f"zhu_{n}_{d}", lambda n=n, d=d: zhu_bound(n, d))
-        for n in range(3)
-        for d in ("lower", "upper")
-    ],
+    "1": [partial(_table11_curves, (1, 2, 4, 5, 8, 10))],
+    "2": [partial(_zhu_curves, range(3))],
     "3": [partial(_abs_re, f"spline_{n}", lambda n=n: sine_lower(n)) for n in range(1, 5)]
     + [partial(_abs_re, f"taylor_{k}", lambda k=k: taylor_sine(k)) for k in range(1, 10, 2)],
     "4": [

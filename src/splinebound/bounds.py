@@ -8,8 +8,9 @@ catalog of published baseline inequalities used for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache
 from math import factorial
+from types import SimpleNamespace
 from typing import Callable, Optional, Union
 
 import mpmath as mp
@@ -218,35 +219,56 @@ def zhu_alpha(n: int) -> list[PiRational]:
     return a[: n + 1]
 
 
+def zhu_constants(n: int, digits: int):
+    """What the Zhu bounds of orders 0..n read besides the point, at the
+    working precision: alpha_0..alpha_(n+1) at `digits` digits, pi^2, and
+    for each order m <= n the head sum sum_(k<=m) alpha_k pi^(2k) and
+    pi^(2m+2)."""
+    pi = mp.pi
+    av = [a.to_ext_real(digits) for a in zhu_alpha(n + 1)]
+    heads, head = [], 0
+    for k in range(n + 1):
+        head += av[k] * pi ** (2 * k)
+        heads.append(head)
+    return av, pi**2, heads, [pi ** (2 * m + 2) for m in range(n + 1)]
+
+
+def zhu_values(x, constants, columns) -> list:
+    """Values at mpf x of the Zhu bounds `columns`, (order, direction)
+    pairs, from one pass over x with the `zhu_constants` of an order at
+    least theirs.
+
+    u = pi^2 - 4x^2, each power u^k is computed once and the prefix sums
+    S_m = sum_(k<=m) alpha_k u^k are shared: lower(n) = S_(n+1) and
+    upper(n) = S_n + (1 - head_n) u^(n+1) / pi^(2n+2), with the operations
+    of an order-n bound evaluated on its own, in the same order.
+    """
+    av, pi2, heads, tops = constants
+    u = pi2 - 4 * x**2
+    pows, sums, acc = [], [], mp.mpf(0)
+    for k in range(max(n for n, _ in columns) + 2):
+        pows.append(u**k)
+        acc += av[k] * pows[k]
+        sums.append(acc)
+    return [
+        sums[n + 1] if d == "lower" else sums[n] + (1 - heads[n]) * pows[n + 1] / tops[n]
+        for n, d in columns
+    ]
+
+
 @cache
 def zhu_bound(n: int, direction: str) -> BoundFn:
     """Order-n Zhu bound for sin(x)/x in the variable u = pi^2 - 4x^2."""
-    alpha = zhu_alpha(n + 1)
     consts = {}
 
-    def constants(digits):
-        # alpha_k, pi^2, the head sum and pi^(2n+2) depend on no point:
-        # each is computed once per (digits, working precision)
-        key = (digits, mp.mp.prec)
-        out = consts.get(key)
-        if out is None:
-            pi = mp.pi
-            av = [a.to_ext_real(digits) for a in alpha]
-            head = sum(av[k] * pi ** (2 * k) for k in range(n + 1))
-            out = consts[key] = (av, pi**2, head, pi ** (2 * n + 2))
-        return out
-
     def body(x, digits):
-        av, pi2, head, pi_top = constants(digits)
-        u = pi2 - 4 * x**2
-        acc = mp.mpf(0)
-        for k in range(n + 1):
-            acc += av[k] * u**k
-        if direction == "lower":
-            acc += av[n + 1] * u ** (n + 1)
-        else:
-            acc += (1 - head) * u ** (n + 1) / pi_top
-        return acc
+        # the constants depend on no point: computed once per (digits,
+        # working precision)
+        key = (digits, mp.mp.prec)
+        c = consts.get(key)
+        if c is None:
+            c = consts[key] = zhu_constants(n, digits)
+        return zhu_values(x, c, [(n, direction)])[0]
 
     return BoundFn("zhu", n, direction, "sinc", body)
 
@@ -260,10 +282,24 @@ def _real_cbrt(v):
     return mp.cbrt(v) if v >= 0 else -mp.cbrt(-v)
 
 
+@cache
+def _formula_constants(prec: int) -> SimpleNamespace:
+    """The point-free constants of the catalog and Lv formulas at `prec`
+    bits, each the value of its published expression."""
+    with mp.workprec(prec):
+        return SimpleNamespace(
+            k0=(8 * mp.pi - 24) / (mp.pi**3 - 2 * mp.pi**2),  # row 10, sharp at pi/2
+            pi28=28 / mp.pi,  # row 8
+            hua=128 - 16 * mp.pi**2 + 16 * mp.pi,  # row 5 upper
+            pi5=mp.pi**5,  # row 5 upper
+            nine_pi2=9 * mp.pi**2,  # Lv
+        )
+
+
 def _lv_si_body(x, digits):
-    return (2 * x + mp.sin(x)) / 3 - (x**3 + 3 * x * mp.cos(x) - 3 * mp.sin(x)) / (
-        9 * mp.pi**2
-    )
+    sin = mp.sin(x)
+    nine_pi2 = _formula_constants(mp.mp.prec).nine_pi2
+    return (2 * x + sin) / 3 - (x**3 + 3 * x * mp.cos(x) - 3 * sin) / nine_pi2
 
 
 @cache
@@ -274,20 +310,47 @@ def lv_si_lower() -> BoundFn:
     )
 
 
-def _cusa(x):  # Cusa-Huygens, also the upper form of rows 1 and 2
-    return (2 + mp.cos(x)) / 3
+class CatalogPoint:
+    """An mpf x and the values of it that the catalog formulas share.
+
+    Each value is computed on first use at the working precision of that
+    use, so one instance serves one x at one precision; a caller that has
+    sin(x) at that precision already may pass it in.
+    """
+
+    def __init__(self, x, sin=None):
+        self.x = x
+        self.c = _formula_constants(mp.mp.prec)
+        if sin is not None:
+            self.sin = sin
+
+    @cached_property
+    def x2(self):
+        return self.x**2
+
+    @cached_property
+    def x3(self):
+        return self.x**3
+
+    @cached_property
+    def cos(self):
+        return mp.cos(self.x)
+
+    @cached_property
+    def sin(self):
+        return mp.sin(self.x)
+
+    @cached_property
+    def tan_ratio(self):  # (tan(x/2)/(x/2))^2 of row 5, 0/0 at x = 0
+        return mp.tan(self.x / 2) ** 2 / (self.x / 2) ** 2
 
 
-def _cos_ratio(x):  # (9 + 6 cos x)/(14 + cos x), shared by rows 8 and 9
-    return (9 + 6 * mp.cos(x)) / (14 + mp.cos(x))
+def _cusa(p):  # Cusa-Huygens, also the upper form of rows 1 and 2
+    return (2 + p.cos) / 3
 
 
-def _tan_half_ratio_sq(x):  # (tan(x/2)/(x/2))^2 of row 5, 0/0 at x = 0
-    return mp.tan(x / 2) ** 2 / (x / 2) ** 2
-
-
-def _k0():  # row 10's k0, which makes its lower form sharp at pi/2
-    return (8 * mp.pi - 24) / (mp.pi**3 - 2 * mp.pi**2)
+def _cos_ratio(p):  # (9 + 6 cos x)/(14 + cos x), shared by rows 8 and 9
+    return (9 + 6 * p.cos) / (14 + p.cos)
 
 
 @cache
@@ -303,64 +366,75 @@ def _p0(prec: int) -> mp.mpf:
         )
 
 
-def _row7_lower(x):
-    p = _p0(mp.mp.prec)
-    return mp.cos(p * x) ** (1 / p)
+def _row7_lower(p):
+    p0 = _p0(mp.mp.prec)
+    return mp.cos(p0 * p.x) ** (1 / p0)
 
 
-# (family, order, direction, sin(x)/x formula, value at x = 0 where the
-# formula is 0/0 there); each formula keeps the operation order of its
-# transcription, so its rounding is that of the published form.  Row 5
-# (Hua) is implemented as transcribed; its x -> 0 limit is 1.  Row 7 uses
-# the exact p0 where the table prints it rounded down.
+# (family, order, direction, sin(x)/x formula over a CatalogPoint p, value
+# at x = 0 where the formula is 0/0 there); each formula keeps the
+# operation order of its transcription, so its rounding is that of the
+# published form.  Row 5 (Hua) is implemented as transcribed; its x -> 0
+# limit is 1.  Row 7 uses the exact p0 where the table prints it rounded
+# down.
 _CATALOG = (
-    ("jordan", 0, "lower", lambda x: 2 / mp.pi, None),
-    ("jordan", 0, "upper", lambda x: mp.mpf(1), None),
+    ("jordan", 0, "lower", lambda p: 2 / mp.pi, None),
+    ("jordan", 0, "upper", lambda p: mp.mpf(1), None),
     ("cusa_huygens", 0, "upper", _cusa, None),
-    ("redheffer", 0, "lower", lambda x: (mp.pi**2 - x**2) / (mp.pi**2 + x**2), None),
-    ("table11_1", 1, "lower", lambda x: (1 + mp.cos(x)) / 2, None),
+    ("redheffer", 0, "lower", lambda p: (mp.pi**2 - p.x2) / (mp.pi**2 + p.x2), None),
+    ("table11_1", 1, "lower", lambda p: (1 + p.cos) / 2, None),
     ("table11_1", 1, "upper", _cusa, None),
-    ("table11_2", 2, "lower", lambda x: _real_cbrt(mp.cos(x)), None),
+    ("table11_2", 2, "lower", lambda p: _real_cbrt(p.cos), None),
     ("table11_2", 2, "upper", _cusa, None),
     ("table11_3", 3, "lower",
-     lambda x: (mp.cos(x) + mp.pi / (mp.pi - 2) - 1) / (mp.pi / (mp.pi - 2)), None),
-    ("table11_3", 3, "upper", lambda x: (mp.cos(x) + 2) / 3, None),
-    ("table11_4", 4, "lower", lambda x: (1 - 7 * x**2 / 60) / (1 + x**2 / 20), None),
+     lambda p: (p.cos + mp.pi / (mp.pi - 2) - 1) / (mp.pi / (mp.pi - 2)), None),
+    ("table11_3", 3, "upper", lambda p: (p.cos + 2) / 3, None),
+    ("table11_4", 4, "lower", lambda p: (1 - 7 * p.x2 / 60) / (1 + p.x2 / 20), None),
     ("table11_4", 4, "upper",
-     lambda x: (1 - x**2 / 7 + 11 * x**4 / 2520) / (1 + x**2 / 42), None),
-    ("table11_5", 5, "lower",
-     lambda x: 2 + 23 * x**3 * mp.sin(x) / 720 - _tan_half_ratio_sq(x), 1),
+     lambda p: (1 - p.x2 / 7 + 11 * p.x**4 / 2520) / (1 + p.x2 / 42), None),
+    ("table11_5", 5, "lower", lambda p: 2 + 23 * p.x3 * p.sin / 720 - p.tan_ratio, 1),
     ("table11_5", 5, "upper",
-     lambda x: 2
-     + (128 - 16 * mp.pi**2 + 16 * mp.pi) * x**3 * mp.sin(x) / mp.pi**5
-     - _tan_half_ratio_sq(x), 1),
-    ("table11_6", 6, "lower", lambda x: (2 / mp.pi) ** (4 * x**2 / mp.pi**2), None),
-    ("table11_6", 6, "upper", lambda x: mp.exp(-(x**2) / 6), None),
+     lambda p: 2 + p.c.hua * p.x3 * p.sin / p.c.pi5 - p.tan_ratio, 1),
+    ("table11_6", 6, "lower", lambda p: (2 / mp.pi) ** (4 * p.x2 / mp.pi**2), None),
+    ("table11_6", 6, "upper", lambda p: mp.exp(-p.x2 / 6), None),
     ("table11_7", 7, "lower", _row7_lower, None),
-    ("table11_7", 7, "upper", lambda x: mp.cos(x / 3) ** 3, None),
-    ("table11_8", 8, "lower", lambda x: (28 / mp.pi + 6 * mp.cos(x)) / (14 + mp.cos(x)), None),
+    ("table11_7", 7, "upper", lambda p: mp.cos(p.x / 3) ** 3, None),
+    ("table11_8", 8, "lower", lambda p: (p.c.pi28 + 6 * p.cos) / (14 + p.cos), None),
     ("table11_8", 8, "upper", _cos_ratio, None),
     ("table11_9", 9, "lower",
-     lambda x: _cos_ratio(x) ** (mp.log(mp.pi / 2) / mp.log(mp.mpf(14) / 9)), None),
+     lambda p: _cos_ratio(p) ** (mp.log(mp.pi / 2) / mp.log(mp.mpf(14) / 9)), None),
     ("table11_9", 9, "upper", _cos_ratio, None),
     ("table11_10", 10, "lower",
-     lambda x: (2 + mp.cos(x) - _k0() * x**2) / (3 - _k0() * x**2), None),
-    ("table11_10", 10, "upper", lambda x: (2 + mp.cos(x) - x**2 / 10) / (3 - x**2 / 10), None),
+     lambda p: (2 + p.cos - p.c.k0 * p.x2) / (3 - p.c.k0 * p.x2), None),
+    ("table11_10", 10, "upper", lambda p: (2 + p.cos - p.x2 / 10) / (3 - p.x2 / 10), None),
 )
 
 
-def _published(formula, at_zero, x, digits):
+@dataclass(frozen=True)
+class _Published:
     """Body of a catalog row: its formula, or its declared value at x = 0."""
-    return mp.mpf(at_zero) if at_zero is not None and x == 0 else formula(x)
+
+    formula: Callable
+    at_zero: Optional[int]
+
+    def at(self, p: CatalogPoint):
+        """The value at the point of `p`, read from its shared values."""
+        if self.at_zero is not None and p.x == 0:
+            return mp.mpf(self.at_zero)
+        return self.formula(p)
+
+    def __call__(self, x, digits):
+        return self.at(CatalogPoint(x))
 
 
-def baseline_catalog() -> list[BoundFn]:
+@cache
+def baseline_catalog() -> tuple[BoundFn, ...]:
     """Published sin(x)/x bounds: the classical inequalities, the ten tabulated
     lower/upper pairs, Zhu orders 0-2 and the Lv sine-integral bound."""
     entries = [
-        BoundFn(family, order, direction, "sinc", partial(_published, formula, at_zero))
+        BoundFn(family, order, direction, "sinc", _Published(formula, at_zero))
         for family, order, direction, formula, at_zero in _CATALOG
     ]
     entries.extend(zhu_bound(n, d) for n in range(3) for d in ("lower", "upper"))
     entries.append(lv_si_lower())
-    return entries
+    return tuple(entries)

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import factorial
 
 import mpmath as mp
+from mpmath.libmp import mpf_add, mpf_mul, mpf_pow_int, round_nearest
 
 from .numerics import PiRational, Poly, Var
 
@@ -133,17 +134,35 @@ class ErrorSeries:
         )
 
 
-def _term_sums(series, acc, t, u, ks, digits: int):
-    """Yield (k, acc + the terms so far) after each term c_k t^k u^p(k) of
-    `series`, k in ks, with c_k read at `digits` digits.
+def _read_terms(series, ks, digits: int) -> list:
+    """(k, c_k as an _mpf_ read at `digits` digits, p(k)) for each k of ks:
+    the terms of `series` that `_term_sums` adds."""
+    return [
+        (k, series.term_coefficient(k).to_ext_real(digits)._mpf_, series.exponent(k))
+        for k in ks
+    ]
 
-    Runs at the caller's working precision.  Each term keeps t^k and u^p as
-    powers, so every sum rounds as a sum evaluated on its own would.
+
+def _term_sums(terms, acc, t, u):
+    """Yield (k, acc + the terms so far) after each term c_k t^k u^p of
+    `terms`, the (k, c_k, p) triples of `_read_terms`.
+
+    Runs on raw _mpf_ values at the caller's working precision with the
+    calls the mpf operators make, each rounded to nearest: t^k and u^p by
+    mpf_pow_int, c_k t^k and its product with u^p by mpf_mul, then the sum
+    by mpf_add.  Each term keeps t^k and u^p as powers, so every sum rounds
+    as a sum evaluated on its own would; u^p is computed once per exponent.
     """
-    for k in ks:
-        ck = series.term_coefficient(k).to_ext_real(digits)
-        acc += ck * t**k * u ** series.exponent(k)
-        yield k, acc
+    prec = mp.mp.prec
+    tm, um, a = t._mpf_, u._mpf_, acc._mpf_
+    upow = {}
+    for k, c, p in terms:
+        up = upow.get(p)
+        if up is None:
+            up = upow[p] = mpf_pow_int(um, p, prec, round_nearest)
+        term = mpf_mul(c, mpf_pow_int(tm, k, prec, round_nearest), prec, round_nearest)
+        a = mpf_add(a, mpf_mul(term, up, prec, round_nearest), prec, round_nearest)
+        yield k, mp.make_mpf(a)
 
 
 def eval_error_series(series: ErrorSeries, t, digits: int, terms: int) -> mp.mpf:
@@ -164,7 +183,7 @@ def eval_error_series(series: ErrorSeries, t, digits: int, terms: int) -> mp.mpf
                 f"series holds coefficients to k={series.max_index()}, need {ks[-1]}"
             )
         acc = mp.mpf(0)
-        for _, acc in _term_sums(series, acc, tv, 1 - tv, ks, digits):
+        for _, acc in _term_sums(_read_terms(series, ks, digits), acc, tv, 1 - tv):
             pass
         return acc
 
@@ -208,6 +227,33 @@ class SineSeries:
     def exponent(self, k: int) -> int:
         return _pair_exponent(1 if self.variant == "order1" else 2, k)
 
+    @property
+    def first_term(self) -> int:
+        """Index of the first series term after the head."""
+        return 1 if self.variant == "order1" else 0
+
+    def read_terms(self, digits: int, n_terms: int) -> list:
+        """The terms k = first_term..n_terms for `sums_at`, each coefficient
+        read once at `digits` digits."""
+        return _read_terms(self, range(self.first_term, n_terms + 1), digits)
+
+    def sums_at(self, x, terms):
+        """Yield (n, s_n(x)) at mpf x in [0, pi/2] for n from one below
+        the first term index to the last of `terms` (from `read_terms`),
+        where s_n is the head plus the series terms k <= n (for the lowest
+        n, the head alone).  Runs at the caller's working precision."""
+        pi = mp.pi
+        if x < 0 or x > pi / 2:
+            raise ValueError("x must lie in [0, pi/2]")
+        t = 2 * x / pi
+        u = 1 - t
+        if self.variant == "order1":
+            acc = t + t * u
+        else:
+            acc = 1 - pi**2 / 8 * u**2
+        yield self.first_term - 1, acc
+        yield from _term_sums(terms, acc, t, u)
+
     def partial_sums(self, x, digits: int, n_terms: int):
         """Yield (n, s_n(x)) for n from one below the first term index to
         `n_terms`, where s_n is the head plus the series terms k <= n (for
@@ -218,19 +264,7 @@ class SineSeries:
         caller's working precision, mp.workdps(digits + 10) for `digits`
         digits, so iterate it inside that context.
         """
-        pi = mp.pi
-        if x < 0 or x > pi / 2:
-            raise ValueError("x must lie in [0, pi/2]")
-        t = 2 * x / pi
-        u = 1 - t
-        if self.variant == "order1":
-            acc = t + t * u
-            k0 = 1
-        else:
-            acc = 1 - pi**2 / 8 * u**2
-            k0 = 0
-        yield k0 - 1, acc
-        yield from _term_sums(self, acc, t, u, range(k0, n_terms + 1), digits)
+        return self.sums_at(x, self.read_terms(digits, n_terms))
 
     def eval(self, x, digits: int, n_terms: int) -> mp.mpf:
         """Head terms plus series terms k <= n_terms at mpf x in [0, pi/2],

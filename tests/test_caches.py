@@ -6,8 +6,10 @@ coefficients' signed integer mantissas and exponents once per precision,
 reflection once per exact value, a figure's sin column is shared by its
 curves, the Si reference is memoised per (x, digits), `si_reference`
 computes each term once and each Zhu bound computes its constants once per
-precision.  Each test compares `_mpf_` tuples (or ==) against a fresh
-computation or a reference kept here.
+precision.  Figures 1 and 2 share each point's values between their curves
+within one call, at that call's precision, and keep none of them after it.
+Each test compares `_mpf_` tuples (or ==) against a fresh computation or a
+reference kept here.
 """
 
 import sys
@@ -18,7 +20,9 @@ import mpmath as mp
 import pytest
 
 from splinebound.analysis import (
+    Grid,
     _call_references,
+    _table11_curves,
     certify_direction,
     figure_data,
     half_pi_grid,
@@ -255,3 +259,97 @@ def test_zhu_constants_kept_per_precision(n, direction):
         got = bound.eval_values(xs, digits)
         want = [zhu_body_per_point(n, direction, x, digits) for x in xs]
         assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+
+
+# Figure 1's rows as first transcribed, with every value computed afresh at
+# each point (row 5 is 0/0 at x = 0, where its declared value is 1)
+def _former_k0():
+    return (8 * mp.pi - 24) / (mp.pi**3 - 2 * mp.pi**2)
+
+
+def _former_tan_ratio(x):
+    return mp.tan(x / 2) ** 2 / (x / 2) ** 2
+
+
+FORMER_TABLE11 = {
+    "table11_1_lower": lambda x: (1 + mp.cos(x)) / 2,
+    "table11_1_upper": lambda x: (2 + mp.cos(x)) / 3,
+    "table11_2_lower": lambda x: mp.cbrt(mp.cos(x)) if mp.cos(x) >= 0 else -mp.cbrt(-mp.cos(x)),
+    "table11_2_upper": lambda x: (2 + mp.cos(x)) / 3,
+    "table11_4_lower": lambda x: (1 - 7 * x**2 / 60) / (1 + x**2 / 20),
+    "table11_4_upper": lambda x: (1 - x**2 / 7 + 11 * x**4 / 2520) / (1 + x**2 / 42),
+    "table11_5_lower": lambda x: 2 + 23 * x**3 * mp.sin(x) / 720 - _former_tan_ratio(x),
+    "table11_5_upper": lambda x: 2
+    + (128 - 16 * mp.pi**2 + 16 * mp.pi) * x**3 * mp.sin(x) / mp.pi**5
+    - _former_tan_ratio(x),
+    "table11_8_lower": lambda x: (28 / mp.pi + 6 * mp.cos(x)) / (14 + mp.cos(x)),
+    "table11_8_upper": lambda x: (9 + 6 * mp.cos(x)) / (14 + mp.cos(x)),
+    "table11_10_lower": lambda x: (2 + mp.cos(x) - _former_k0() * x**2)
+    / (3 - _former_k0() * x**2),
+    "table11_10_upper": lambda x: (2 + mp.cos(x) - x**2 / 10) / (3 - x**2 / 10),
+}
+
+
+def former_column(body, xs, digits):
+    # |1 - body(x)/sinc(x)| per point, with a fresh sin for the reference
+    with mp.workdps(digits + 10):
+        out = []
+        for xv in xs:
+            sinc = mp.sin(xv) / xv if xv != 0 else mp.mpf(1)
+            out.append(abs(1 - body(xv) / sinc))
+        return out
+
+
+def test_figure_values_follow_precision():
+    # one x read at 50, then 90, then 50 digits in one process: every value
+    # figures 1 and 2 share between curves, and every constant, is that of
+    # its own precision.  The grid's right end holds 120 digits, more than
+    # any of these precisions; a point that wide given to the shared pass
+    # itself is rounded on entry, as a curve on its own rounds it.
+    with mp.workdps(120):
+        right = mp.mpf(14) / 9
+    for digits in (50, 90, 50):
+        grid = Grid(mp.mpf(0), right, 5, digits)
+        xs = grid.points(digits)
+        fig1 = figure_data("1", grid)["columns"]
+        wide = _table11_curves((1, 2, 4, 5, 8, 10), [right], _call_references(), digits)
+        for name, formula in FORMER_TABLE11.items():
+            body = lambda x, f=formula, row5="_5_" in name: mp.mpf(1) if row5 and x == 0 else f(x)
+            want = former_column(body, xs, digits)
+            assert [v._mpf_ for v in fig1[name]] == [v._mpf_ for v in want], (name, digits)
+            assert wide[name][0]._mpf_ == want[-1]._mpf_, (name, digits)
+        fig2 = figure_data("2", grid)["columns"]
+        for n in range(3):
+            for d in ("lower", "upper"):
+                want = former_column(lambda x: zhu_body_per_point(n, d, x, digits), xs, digits)
+                got = fig2[f"zhu_{n}_{d}"]
+                assert [v._mpf_ for v in got] == [v._mpf_ for v in want], (n, d, digits)
+
+
+def module_store_sizes() -> dict:
+    """Size of every memo, dict, list and set held at module level by the package."""
+    sizes = {}
+    for name, module in sys.modules.items():
+        if name == "splinebound" or name.startswith("splinebound."):
+            for attr, value in vars(module).items():
+                if hasattr(value, "cache_info"):
+                    sizes[name, attr] = value.cache_info().currsize
+                elif isinstance(value, (dict, list, set)):
+                    sizes[name, attr] = len(value)
+    return sizes
+
+
+def test_figure_data_keeps_no_point_values():
+    # the second round asks for new points at the same precision: a store
+    # of per-point values would grow, a per-precision constant would not.
+    # The Si memo is the one store kept across calls by design: it is
+    # bounded, and keyed by (x, digits).
+    figures = [str(i) for i in range(1, 9)]
+    for f in figures:
+        figure_data(f, half_pi_grid(7, 50))
+    before = module_store_sizes()
+    for f in figures:
+        figure_data(f, half_pi_grid(11, 50))
+    after = module_store_sizes()
+    grown = {key for key in after if after[key] != before.get(key)}
+    assert grown <= {("splinebound.analysis", "_si_value")}

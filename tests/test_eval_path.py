@@ -25,6 +25,7 @@ from splinebound.analysis import (
 )
 from splinebound.bounds import (
     baseline_catalog,
+    lv_si_lower,
     reflect_to_cos,
     si_lower,
     si_reference,
@@ -188,11 +189,23 @@ def _figure_bounds():
     zhu = {f"zhu_{n}_{d}": zhu_bound(n, d) for n in range(3) for d in ("lower", "upper")}
     spline = {f"spline_{n}": sine_lower(n) for n in range(1, 5)}
     taylor = {f"taylor_{k}": taylor_sine(k) for k in range(1, 10, 2)}
-    return {"1": table11, "2": zhu, "3": {**spline, **taylor}}
+    return {
+        "1": table11,
+        "2": zhu,
+        "3": {**spline, **taylor},
+        "4": {f"err_spline_{n}": sine_lower(n) for n in range(1, 5)},
+        "7": {f"err_upper_{n}": sine_upper(n) for n in range(2, 5)},
+        "8": {**{f"si_spline_{n}": si_lower(n) for n in range(1, 5)}, "lv": lv_si_lower()},
+    }
+
+
+# figures whose columns are sign * (sin - p) for the body p of a sin bound;
+# the others plot |re|
+SIN_MINUS_SIGN = {"4": 1, "7": -1}
 
 
 @pytest.mark.parametrize("digits", DIGITS)
-@pytest.mark.parametrize("figure", ("1", "2", "3"))
+@pytest.mark.parametrize("figure", ("1", "2", "3", "4", "7", "8"))
 def test_abs_re_columns(figure, digits):
     # each curve on its own, with a fresh reference at every point
     grid = half_pi_grid(17, digits)
@@ -202,10 +215,16 @@ def test_abs_re_columns(figure, digits):
     for name, bound in bounds.items():
         ref = reference_for(bound.target)
         with mp.workdps(digits + 10):
-            expected = [
-                abs(relative_error(bound, ref, xv, digits)) for xv in grid.points(digits)
-            ]
-        assert columns[name] == expected, name
+            if figure in SIN_MINUS_SIGN:
+                expected = [
+                    SIN_MINUS_SIGN[figure] * (mp.sin(xv) - ref_horner(bound.body, xv, digits))
+                    for xv in grid.points(digits)
+                ]
+            else:
+                expected = [
+                    abs(relative_error(bound, ref, xv, digits)) for xv in grid.points(digits)
+                ]
+        assert [v._mpf_ for v in columns[name]] == [v._mpf_ for v in expected], name
 
 
 @pytest.mark.parametrize("digits", DIGITS)
