@@ -184,9 +184,8 @@ def relative_error(approx: BoundFn, reference, x, digits: int) -> mp.mpf:
     return relative_errors(approx, reference, [x], digits)[0]
 
 
-def _scan_once(approx: BoundFn, reference, grid: Grid, digits: int):
+def _scan_once(approx: BoundFn, reference, grid: Grid, xs, digits: int):
     with mp.workdps(digits + 10):
-        xs = grid.points(digits)
         values = relative_errors(approx, reference, xs, digits)
         best = mp.mpf(0)
         arg = mp.mpf(grid.left)
@@ -203,18 +202,22 @@ def re_bound_scan(
     grid: Grid,
     digits: int | None = None,
     max_rounds: int = 4,
+    points=None,
 ) -> RelErrReport:
     """Full relative-error report over the grid.
 
     The precision context is raised and the scan repeated until the measured
     bound is well above rounding noise (re_bound >> 10^-digits), for at most
-    `max_rounds` scans; the report says whether that happened.
+    `max_rounds` scans; the report says whether that happened.  Each scan
+    reads the grid's points at its precision from points(digits),
+    grid.points unless the caller shares point sets between scans.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     digits = digits or max(grid.digits, DEFAULT_DIGITS)
+    points = points or grid.points
     for rounds in range(1, max_rounds + 1):
-        values, best, arg = _scan_once(approx, reference, grid, digits)
+        values, best, arg = _scan_once(approx, reference, grid, points(digits), digits)
         needed = digits_for_bound(float(best), floor=DEFAULT_DIGITS)
         converged = best == 0 or needed <= digits
         if converged or rounds == max_rounds:
@@ -360,15 +363,16 @@ def _abs_re_raw(a, r, prec: int) -> mp.mpf:
 
 def _series_re(variant: str, ns, xs, refs, digits: int) -> dict:
     """{n: |1 - s_n(x)/sin(x)| at each x} for the partial sums s_n, n in ns,
-    0 at x = 0 where every s_n is exact in the limit.  Each coefficient is
-    read once, and one pass of the term loop at each x gives every column;
-    sin comes from refs("sin")."""
+    0 at x = 0 where every s_n is exact in the limit.  pi and each
+    coefficient are read once, and one pass of the term loop at each x
+    gives every column; sin comes from refs("sin")."""
     last = max(ns)
     s = sine_series(variant, last)
     sin = refs("sin")
     cols = {n: [] for n in ns}
     with mp.workdps(digits + 10):
         prec = mp.mp.prec
+        pi = +mp.pi
         terms = s.read_terms(digits, last)
         for xv in xs:
             if xv == 0:
@@ -376,7 +380,7 @@ def _series_re(variant: str, ns, xs, refs, digits: int) -> dict:
                     col.append(mp.mpf(0))
                 continue
             sv = sin(xv, digits)._mpf_
-            for n, acc in s.sums_at(xv, terms):
+            for n, acc in s.sums_at(xv, terms, pi):
                 if n in cols:
                     cols[n].append(_abs_re_raw(acc._mpf_, sv, prec))
     return cols
@@ -387,24 +391,40 @@ def _series_re(variant: str, ns, xs, refs, digits: int) -> dict:
 # at run time sees every call.
 
 
-def _scanned(build, row, grid: Grid, digits: int, refs):
+def _scanned(build, row, grid: Grid, digits: int, refs, points):
     """Table cell: the bound build(row) and its max |re| on the grid."""
     bound = build(row)
-    rep = re_bound_scan(bound, refs(bound.target), grid, digits)
+    rep = re_bound_scan(bound, refs(bound.target), grid, digits, points=partial(points, grid))
     return bound, rep.re_bound
 
 
-def _series_max(variant: str, n: int, grid: Grid, digits: int, refs):
+def _series_max(variant: str, n: int, grid: Grid, digits: int, refs, points):
     """Table cell: no bound, and the largest value of the series column."""
-    (column,) = _series_re(variant, [n], grid.points(digits), refs, digits).values()
+    (column,) = _series_re(variant, [n], points(grid, digits), refs, digits).values()
     return None, max(column)
+
+
+def _call_points():
+    """grid.points for the rows of one table call: each distinct point set
+    built once and kept only as long as the returned lookup.  A point set
+    depends only on the grid's value and the precision, and no scan changes
+    its list."""
+    kept = {}
+
+    def points(grid: Grid, digits: int):
+        xs = kept.get((grid, digits))
+        if xs is None:
+            xs = kept[(grid, digits)] = grid.points(digits)
+        return xs
+
+    return points
 
 
 # table id -> (row label, whether rows show their bound's direction, columns);
 # a column (key suffix, published value by row, cell) fills computed<suffix>
 # and expected<suffix>, the cell scanning at the digits the published value
-# needs with references shared by the table's rows.  Taylor polynomials
-# alternate between lower and upper bounds.
+# needs with references and grid points shared by the table's rows.  Taylor
+# polynomials alternate between lower and upper bounds.
 _TABLES = {
     "2.1": ("order", True, [("", TABLE_2_1, partial(_scanned, lambda n: taylor_sine(n)))]),
     "3.1": ("order", False, [("", TABLE_3_1, partial(_scanned, lambda n: sine_lower(n)))]),
@@ -425,6 +445,7 @@ def reproduce_table(table_id: str, samples: int = DEFAULT_SAMPLES) -> list[dict]
         raise ValueError(f"unknown table id {table_id!r}")
     label, show_direction, columns = _TABLES[table_id]
     refs = _call_references()
+    points = _call_points()
     rows: list[dict] = []
     for key in columns[0][1]:
         row = {"table": table_id, label: key}
@@ -436,7 +457,7 @@ def reproduce_table(table_id: str, samples: int = DEFAULT_SAMPLES) -> list[dict]
                 row[f"expected{suffix}"] = "not stated in source table"
                 continue
             digits = digits_for_bound(expected)
-            bound, computed = cell(key, half_pi_grid(samples, digits), digits, refs)
+            bound, computed = cell(key, half_pi_grid(samples, digits), digits, refs, points)
             if show_direction:
                 row["direction"] = bound.direction
             row[f"computed{suffix}"] = computed

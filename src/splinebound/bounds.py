@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
-from math import factorial
+from math import factorial, floor, lgamma, log
 from types import SimpleNamespace
 from typing import Callable, Optional, Union
 
 import mpmath as mp
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
-from .numerics import PiRational, Poly, horner_eval, horner_values
+from .numerics import PiRational, Poly, _round, horner_eval, horner_values, pow_rounded
 from .series import order1_coefficients, order2_coefficients
 from .spline import reflect_half_pi, sine_spline
 
@@ -159,31 +160,111 @@ def si_lower(n: int) -> BoundFn:
 
 
 def si_reference(x, digits: int) -> mp.mpf:
-    """Si(x) at mpf x >= 0 by its alternating power series, correct to
-    `digits` digits and rounded to digits + 10.
+    """Si(x) at finite mpf x >= 0 by its alternating power series, correct
+    to `digits` digits and rounded to digits + 10.
 
     Truncated when the next term drops below 10^(-digits-5); the alternating
-    remainder bound then guarantees the stated accuracy.  Each term's
-    magnitude x^(2k+1)/((2k+1)(2k+1)!) is computed once and added with sign
-    (-1)^k; rounding to nearest is sign-symmetric, so this is the same sum
-    as rounding each signed term.
+    remainder bound then guarantees the stated accuracy.  The sum runs at
+    digits + 15 working digits, plus the decimal exponent of its largest
+    term, which is the most the terms can cancel by; that adds nothing while
+    every term is below 10 (x < 5 at least), and it grows with x, as does
+    the number of terms, so the cost grows with x.
+
+    Each term's magnitude x^n/(n n!), n = 2k+1, is added with sign (-1)^k,
+    with the roundings of the mpf operators at the working precision: the
+    power as mpf_pow_int gives it, the quotient and each sum to nearest,
+    ties to even.  The loop runs on integer mantissas: the power copies
+    mpf_pow_int (`pow_rounded`, one chain of squares per x), and a
+    correctly rounded value of the exact quotient or sum is unique, so each
+    step gives the bits of the mpf operators.
     """
     with mp.workdps(digits + 15):
         xv = mp.mpf(x)
-        if xv < 0:
-            raise ValueError("Si reference is defined for x >= 0 here")
-        cutoff = mp.mpf(10) ** (-digits - 5)
-        total = mp.mpf(0)
-        k = 0
-        mag = xv  # x^1 / (1 * 1!)
-        while True:
-            total += -mag if k % 2 else mag
-            k += 1
-            mag = xv ** (2 * k + 1) / ((2 * k + 1) * factorial(2 * k + 1))
-            if mag < cutoff:
-                break
-    with mp.workdps(digits + 10):
-        return +total
+    if xv < 0:
+        raise ValueError("Si reference is defined for x >= 0 here")
+    _, xm, xe, _ = xv._mpf_
+    if not xm and xe:
+        raise ValueError(f"Si reference needs a finite x, got {x}")
+    guard = _si_cancellation(xv)
+    if guard:
+        with mp.workdps(digits + 15 + guard):
+            _, xm, xe, _ = mp.mpf(x)._mpf_
+    tm, te = _si_sum(xm, xe, digits, dps_to_prec(digits + 15 + guard))
+    return mp.make_mpf(from_man_exp(tm, te, dps_to_prec(digits + 10), round_nearest))
+
+
+def _si_sum(xm: int, xe: int, digits: int, wp: int) -> tuple:
+    """The sum of `si_reference` at x = xm * 2**xe >= 0 before its final
+    rounding: a signed (mantissa, exponent) pair of at most wp + 1 bits."""
+    if not xm:
+        return 0, 0
+    cm, ce = _si_cutoff(digits)
+    ctop = ce + cm.bit_length()
+    # both operands of a sum hold at most wp + 1 bits: beyond this exponent
+    # gap the larger is the rounded sum, as in `horner_values`
+    gap = 2 * wp + 8
+    chains = {}
+    tm, te = xm, xe  # the sum so far: the first term, x
+    n = 1
+    while True:
+        n += 2
+        pm, pe = pow_rounded(xm, xe, n, wp, chains)
+        dm, de = _si_divisor(n)
+        # the quotient as mpf_div forms it: enough bits below the rounding
+        # bit, then a sticky bit for a nonzero remainder
+        shift = wp - pm.bit_length() + dm.bit_length() + 5
+        qm, rem = divmod(pm << shift, dm)
+        if rem:
+            qm, shift = qm << 1 | 1, shift + 1
+        qm, qe = _round(qm, pe - de - shift, wp)
+        top = qe + qm.bit_length()
+        if top < ctop or top == ctop and (
+            qm << (qe - ce) < cm if qe >= ce else qm < cm << (ce - qe)
+        ):
+            break
+        if n & 2:
+            qm = -qm
+        if not tm:
+            tm, te = qm, qe
+        elif te - qe > gap:
+            pass
+        elif qe - te > gap:
+            tm, te = qm, qe
+        elif te >= qe:
+            tm, te = _round((tm << (te - qe)) + qm, qe, wp)
+        else:
+            tm, te = _round(tm + (qm << (qe - te)), te, wp)
+    return tm, te
+
+
+def _si_cancellation(xv) -> int:
+    """The decimal exponent of the largest term x^n/(n n!) of the Si
+    series at x >= 0, or 0 while every term is below 10."""
+    x = float(xv)
+    if x < 5:  # every term is then below 125/18, the largest at x = 5
+        return 0
+    top = floor(x)
+    largest = max(
+        n * log(x) - log(n) - lgamma(n + 1) for n in range(max(1, top - 5) | 1, top + 3, 2)
+    )
+    return max(0, floor(largest / log(10)))
+
+
+@cache
+def _si_cutoff(digits: int) -> tuple:
+    """10^(-digits-5), the Si series' truncation threshold, at digits + 15
+    working digits, as an unsigned (mantissa, exponent) pair."""
+    with mp.workdps(digits + 15):
+        _, man, exp, _ = (mp.mpf(10) ** (-digits - 5))._mpf_
+    return man, exp
+
+
+@cache
+def _si_divisor(n: int) -> tuple:
+    """n * n! as an odd mantissa and a power of two."""
+    d = n * factorial(n)
+    zeros = (d & -d).bit_length() - 1
+    return d >> zeros, zeros
 
 
 # -- Taylor reference ------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Iterable, Mapping, Union
 
@@ -442,6 +443,44 @@ def _round(m: int, e: int, prec: int) -> tuple:
     if q & 1 and (q & 2 or (q << (n - 1)) != m):
         return (q >> 1) + 1, e + n
     return q >> 1, e + n
+
+
+def pow_rounded(man: int, exp: int, n: int, prec: int, chains: dict) -> tuple:
+    """(man * 2**exp)**n as `mpf_pow_int(x, n, prec, round_nearest)` gives
+    it, for the normalised mantissa man >= 0 and exponent of an `_mpf_`
+    value x and an integer n >= 0, as an unsigned (mantissa, exponent) pair.
+
+    A power of few bits is exact, rounded once to nearest.  Any other is
+    mpmath 1.3.0's binary ladder, step for step: at workprec = prec +
+    4*bitlen(n) + 4 bits it multiplies the squares x**(2**i) for the set
+    bits i of n, lowest first, floor-truncates every product and square
+    longer than workprec, and rounds the result once to `prec`.  The chain
+    of squares depends only on x and workprec, so `chains`, one dict per x,
+    keeps it and every power of that x shares it.
+    """
+    if n <= 2 or man == 1 or man.bit_length() * n < 1000:
+        return _round(man**n, exp * n, prec)
+    workprec = prec + 4 * n.bit_length() + 4
+    chain = chains.setdefault(workprec, [(man, exp)])
+    while len(chain) < n.bit_length():
+        m, e = chain[-1]
+        m, e = m * m, e + e
+        drop = m.bit_length() - workprec
+        chain.append((m >> drop, e + drop) if drop > 0 else (m, e))
+    pm, pe = 1, 0
+    for i in _set_bits(n):
+        m, e = chain[i]
+        pm, pe = pm * m, pe + e
+        drop = pm.bit_length() - workprec
+        if drop > 0:
+            pm, pe = pm >> drop, pe + drop
+    return _round(pm, pe, prec)
+
+
+@cache
+def _set_bits(n: int) -> tuple:
+    """Indices of the set bits of n >= 0, lowest first."""
+    return tuple(i for i in range(n.bit_length()) if n >> i & 1)
 
 
 def horner_eval(p: Poly, x, digits: int) -> mp.mpf:

@@ -237,12 +237,15 @@ class SineSeries:
         read once at `digits` digits."""
         return _read_terms(self, range(self.first_term, n_terms + 1), digits)
 
-    def sums_at(self, x, terms):
+    def sums_at(self, x, terms, pi=None):
         """Yield (n, s_n(x)) at mpf x in [0, pi/2] for n from one below
         the first term index to the last of `terms` (from `read_terms`),
         where s_n is the head plus the series terms k <= n (for the lowest
-        n, the head alone).  Runs at the caller's working precision."""
-        pi = mp.pi
+        n, the head alone).  Runs at the caller's working precision; `pi`
+        is mp.pi read at that precision, which a caller evaluating a whole
+        column reads once for all its points."""
+        if pi is None:
+            pi = +mp.pi
         if x < 0 or x > pi / 2:
             raise ValueError("x must lie in [0, pi/2]")
         t = 2 * x / pi

@@ -95,6 +95,21 @@ class TestSineIntegral:
         with pytest.raises(ValueError):
             si_reference(mp.mpf(-1), 30)
 
+    @pytest.mark.parametrize("x", (mp.inf, mp.nan))
+    def test_reference_rejects_non_finite(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            si_reference(x, 30)
+
+    @pytest.mark.parametrize("digits", (30, 50))
+    @pytest.mark.parametrize("x", (10, 30, 60, 100))
+    def test_reference_correct_for_large_x(self, x, digits):
+        # the terms cancel by as many digits as the largest one has, about
+        # 23 at x = 60 and 41 at x = 100
+        ours = si_reference(mp.mpf(x), digits)
+        with mp.workdps(2 * digits):
+            lib = mp.si(x)
+            assert abs(ours / lib - 1) < mp.mpf(10) ** (-digits)
+
     def test_lower_bound_holds(self):
         digits = 40
         with mp.workdps(digits + 10):

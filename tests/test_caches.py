@@ -4,9 +4,10 @@ Exact coefficients are converted once per precision, each `Poly` keeps its
 coefficients' signed integer mantissas and exponents once per precision,
 `sine_spline` and the bound builders are built once per order, the cosine
 reflection once per exact value, a figure's sin column is shared by its
-curves, the Si reference is memoised per (x, digits), `si_reference`
-computes each term once and each Zhu bound computes its constants once per
-precision.  Figures 1 and 2 share each point's values between their curves
+curves, a table's rows share its grid points, the Si reference is
+memoised per (x, digits), `si_reference` computes each term once, on
+integer mantissas with the bits of a former mpf loop kept here, and each
+Zhu bound computes its constants once per precision.  Figures 1 and 2 share each point's values between their curves
 within one call, at that call's precision, and keep none of them after it.
 Each test compares `_mpf_` tuples (or ==) against a fresh computation or a
 reference kept here.
@@ -18,6 +19,8 @@ from math import factorial
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_man_exp
 
 from splinebound.analysis import (
     Grid,
@@ -28,9 +31,11 @@ from splinebound.analysis import (
     half_pi_grid,
     re_bound_scan,
     reference_for,
+    reproduce_table,
 )
 from splinebound.bounds import (
     BoundFn,
+    _si_sum,
     reflect_to_cos,
     si_lower,
     si_reference,
@@ -200,6 +205,87 @@ def test_si_reference_matches_two_power_loop(digits):
     for xv in half_pi_grid(41, digits).points(digits):
         got = si_reference(xv, digits)
         assert got._mpf_ == si_reference_two_powers(xv, digits)._mpf_
+
+
+def si_sum_mpf(x, digits):
+    # the former loop on mpf values, each term's power computed once; its
+    # sum at the working precision, before the final rounding
+    with mp.workdps(digits + 15):
+        xv = mp.mpf(x)
+        if xv < 0:
+            raise ValueError("Si reference is defined for x >= 0 here")
+        cutoff = mp.mpf(10) ** (-digits - 5)
+        total = mp.mpf(0)
+        k = 0
+        mag = xv  # x^1 / (1 * 1!)
+        while True:
+            total += -mag if k % 2 else mag
+            k += 1
+            mag = xv ** (2 * k + 1) / ((2 * k + 1) * factorial(2 * k + 1))
+            if mag < cutoff:
+                break
+    return total
+
+
+def si_reference_mpf(x, digits):
+    total = si_sum_mpf(x, digits)
+    with mp.workdps(digits + 10):
+        return +total
+
+
+def assert_si_kernel_matches(x, digits):
+    """si_reference at x equals the former loop, and so does its sum at
+    the working precision, where a term one unit off would show."""
+    assert si_reference(x, digits)._mpf_ == si_reference_mpf(x, digits)._mpf_, x
+    with mp.workdps(digits + 15):
+        _, xm, xe, _ = mp.mpf(x)._mpf_
+        wp = mp.mp.prec
+    got = mp.make_mpf(from_man_exp(*_si_sum(xm, xe, digits, wp)))
+    assert got._mpf_ == si_sum_mpf(x, digits)._mpf_, x
+
+
+def si_points(digits):
+    """0, 2^-200, powers of two, 1/3, pi/2, 7/4 and 3 at the working
+    precision, digits + 15, then pi/2 and 1/3 held 40 digits wider.  Every
+    term of the series at these points is below 10, so the working
+    precision is digits + 15 at each."""
+    with mp.workdps(digits + 55):
+        wide = [mp.pi / 2, mp.mpf(1) / 3]
+    with mp.workdps(digits + 15):
+        powers = [mp.mpf(2) ** k for k in (-200, -20, -1, 0, 1, 2)]
+        return [mp.mpf(0), *powers, mp.mpf(1) / 3, mp.pi / 2, mp.mpf(7) / 4, mp.mpf(3), *wide]
+
+
+@pytest.mark.parametrize("digits", (1, 2, 9, 30, 50, 58, 90, 151, 220))
+def test_si_kernel_matches_mpf_loop(digits):
+    for x in si_points(digits):
+        assert_si_kernel_matches(x, digits)
+
+
+@given(st.integers(1, 220), st.lists(st.floats(0, 4.99), min_size=1, max_size=4), st.integers(0, 40))
+@settings(max_examples=100, deadline=None)
+def test_si_kernel_matches_mpf_loop_at_random_points(digits, xs, wider):
+    # points given with up to 40 more digits than the working precision,
+    # which both round on entry
+    with mp.workdps(digits + 15 + wider):
+        xs = [mp.mpf(x) * (1 + mp.pi / 10**12) for x in xs]
+    for x in xs:
+        assert_si_kernel_matches(x, digits)
+
+
+def test_table_rows_share_grid_points(monkeypatch):
+    # table 2.1 scans its eight rows at two precisions: one call builds
+    # each point set once
+    built = []
+    points = Grid.points
+
+    def counted(grid, digits=None):
+        built.append((grid.count, digits))
+        return points(grid, digits)
+
+    monkeypatch.setattr(Grid, "points", counted)
+    reproduce_table("2.1", samples=40)
+    assert sorted(built) == [(40, 50), (40, 88)]
 
 
 def test_call_references_keyed_by_digits():
