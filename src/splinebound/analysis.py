@@ -174,9 +174,15 @@ def relative_errors(approx: BoundFn, reference, xs, digits: int) -> list:
             refs.append(ref._mpf_)
         values = approx.eval_values(body_xs, digits)
         for i, a, r in zip(at, values, refs):
-            q = mpf_div(a._mpf_, r, prec, round_nearest)
-            out[i] = mp.make_mpf(mpf_sub(fone, q, prec, round_nearest))
+            out[i] = mp.make_mpf(_re_raw(a._mpf_, r, prec))
         return out
+
+
+def _re_raw(a, r, prec: int) -> tuple:
+    """1 - a/r as an _mpf_ value, for raw _mpf_ values a and r, with the
+    roundings of the mpf operators at `prec` bits: the quotient, then the
+    difference, each to nearest."""
+    return mpf_sub(fone, mpf_div(a, r, prec, round_nearest), prec, round_nearest)
 
 
 def relative_error(approx: BoundFn, reference, x, digits: int) -> mp.mpf:
@@ -354,11 +360,9 @@ def matches_sig_figs(computed, expected, sig: int = 3) -> bool:
 
 
 def _abs_re_raw(a, r, prec: int) -> mp.mpf:
-    """|1 - a/r| for raw _mpf_ values a and r, with the roundings of the mpf
-    operators at `prec` bits: the quotient, the difference and the absolute
-    value, each to nearest."""
-    q = mpf_div(a, r, prec, round_nearest)
-    return mp.make_mpf(mpf_abs(mpf_sub(fone, q, prec, round_nearest), prec, round_nearest))
+    """|1 - a/r| for raw _mpf_ values a and r: `_re_raw`, then the absolute
+    value rounded to nearest at `prec` bits."""
+    return mp.make_mpf(mpf_abs(_re_raw(a, r, prec), prec, round_nearest))
 
 
 def _series_re(variant: str, ns, xs, refs, digits: int) -> dict:

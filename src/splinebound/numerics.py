@@ -214,11 +214,10 @@ class Poly:
     Coefficients are PiRational, held in a tuple
     because one Poly can be shared by every caller (`sine_spline` memoises
     its result); trailing zeros are trimmed so the degree is canonical.
-    The tuple is never replaced, so `horner_values` keeps the coefficients'
-    integer mantissas and exponents on the instance, once per `digits`.
+    Each coefficient keeps its own conversions (`PiRational.to_ext_real`).
     """
 
-    __slots__ = ("coefficients", "variable", "_converted")
+    __slots__ = ("coefficients", "variable")
 
     def __init__(self, coefficients: Iterable[PiRational], variable: Var = Var.X_ON_0_HALFPI):
         coeffs = list(coefficients)
@@ -226,7 +225,6 @@ class Poly:
             coeffs.pop()
         self.coefficients = tuple(coeffs)
         self.variable = variable
-        self._converted = None
 
     @property
     def degree(self) -> int:
@@ -330,19 +328,6 @@ class Poly:
             [PiRational({j: Fraction(v, den) for j, v in t.items()}) for t in out], var
         )
 
-    def _horner_coefficients(self, digits: int) -> tuple:
-        """The coefficients read through `to_ext_real(digits)` as signed
-        (mantissa, exponent) pairs, highest power first, converted once
-        per `digits` and kept on the instance."""
-        if self._converted is None:
-            self._converted = {}
-        out = self._converted.get(digits)
-        if out is None:
-            out = self._converted[digits] = tuple(
-                _signed(c.to_ext_real(digits)._mpf_) for c in reversed(self.coefficients)
-            )
-        return out
-
     def eval_exact(self, x: PiRational) -> PiRational:
         """Exact evaluation at a pi-rational point."""
         out = PiRational.zero()
@@ -388,15 +373,15 @@ def horner_values(p: Poly, xs, digits: int) -> list:
     """Nested-multiplication values of p at each x of `xs`, computed at
     `digits` working digits in one precision context.
 
-    Each step is acc * x + c with each coefficient read at that precision
-    through its `to_ext_real`, and rounds as the mpf operators do: once to
-    nearest (ties to even) at the working precision after the product and
-    once after the sum.  Each x is rounded on entry with `mp.mpf(x)`.  The
-    steps run on signed integer mantissas: the product and the aligned sum
-    are exact integers, and a correctly rounded value of an exact one is
-    unique, so each step gives the bits `mpf_mul` and `mpf_add` give.  A
-    zero coefficient's sum is skipped, since adding 0 returns the rounded
-    product unchanged.
+    Each step is acc * x + c with each coefficient read once per column at
+    that precision through its `to_ext_real`, and rounds as the mpf
+    operators do: once to nearest (ties to even) at the working precision
+    after the product and once after the sum.  Each x is rounded on entry
+    with `mp.mpf(x)`.  The steps run on signed integer mantissas: the
+    product and the aligned sum are exact integers, and a correctly rounded
+    value of an exact one is unique, so each step gives the bits `mpf_mul`
+    and `mpf_add` give.  A zero coefficient's sum is skipped, since adding
+    0 returns the rounded product unchanged.
     """
     with mp.workdps(digits + 10):
         prec = mp.mp.prec
@@ -404,7 +389,7 @@ def horner_values(p: Poly, xs, digits: int) -> list:
         # exponent gap the smaller lies wholly under half an ulp of the
         # larger, which is then the rounded sum; the shift is not made
         gap = 2 * prec + 8
-        coeffs = p._horner_coefficients(digits)
+        coeffs = [_signed(c.to_ext_real(digits)._mpf_) for c in reversed(p.coefficients)]
         out = []
         for x in xs:
             sign, xm, xe, _ = mp.mpf(x)._mpf_

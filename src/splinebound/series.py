@@ -10,7 +10,6 @@ Re-arranged, the same data gives rapidly converging series for sin(x).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 import mpmath as mp
@@ -105,14 +104,8 @@ class ErrorSeries:
     coeffs: tuple
     start_index: int
 
-    def term_coefficient(self, k: int) -> PiRational:
-        return self.coeffs[k]
-
     def exponent(self, k: int) -> int:
         return exponent_rule(self.spline_order, k)
-
-    def max_index(self) -> int:
-        return len(self.coeffs) - 1
 
     def to_monomials(self, max_power: int) -> Poly:
         """Re-expand the structural terms into monomials of t, exactly.
@@ -124,7 +117,7 @@ class ErrorSeries:
             [PiRational.one(), PiRational.from_rational(-1)], Var.T_ON_0_1
         )
         total = Poly([], Var.T_ON_0_1)
-        for k in range(self.start_index, min(self.max_index(), max_power) + 1):
+        for k in range(self.start_index, min(len(self.coeffs) - 1, max_power) + 1):
             term = (one_minus_t ** self.exponent(k)) * Poly(
                 [PiRational.zero()] * k + [self.coeffs[k]], Var.T_ON_0_1
             )
@@ -137,10 +130,10 @@ class ErrorSeries:
 def _read_terms(series, ks, digits: int) -> list:
     """(k, c_k as an _mpf_ read at `digits` digits, p(k)) for each k of ks:
     the terms of `series` that `_term_sums` adds."""
-    return [
-        (k, series.term_coefficient(k).to_ext_real(digits)._mpf_, series.exponent(k))
-        for k in ks
-    ]
+    held = len(series.coeffs) - 1
+    if ks and ks[-1] > held:
+        raise ValueError(f"series holds coefficients to k={held}, need {ks[-1]}")
+    return [(k, series.coeffs[k].to_ext_real(digits)._mpf_, series.exponent(k)) for k in ks]
 
 
 def _term_sums(terms, acc, t, u):
@@ -178,10 +171,6 @@ def eval_error_series(series: ErrorSeries, t, digits: int, terms: int) -> mp.mpf
         if tv == 0 or tv == 1:
             return mp.mpf(0)
         ks = range(series.start_index, series.start_index + terms)
-        if ks and ks[-1] > series.max_index():
-            raise ValueError(
-                f"series holds coefficients to k={series.max_index()}, need {ks[-1]}"
-            )
         acc = mp.mpf(0)
         for _, acc in _term_sums(_read_terms(series, ks, digits), acc, tv, 1 - tv):
             pass
@@ -210,19 +199,13 @@ class SineSeries:
         + sum_{k>=1} c_k t^k (1-t)^p,  t = 2x/pi.
     variant "order2": sin(x) = 1 - (pi^2/8)(1-t)^2
         + sum_{k>=0} c_k t^k (1-t)^p, with its own c_0..c_2.
+
+    `coeffs` holds the series' own c_k: the error series' coefficients with
+    the closed-form head (ORDER1_SERIES_C1 or ORDER2_SERIES_HEAD) in place.
     """
 
     variant: str
     coeffs: tuple
-
-    def term_coefficient(self, k: int) -> PiRational:
-        if self.variant == "order1":
-            if k < 1:
-                raise ValueError("order-1 series terms start at k=1")
-            return ORDER1_SERIES_C1 if k == 1 else self.coeffs[k]
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        return ORDER2_SERIES_HEAD[k] if k <= 2 else self.coeffs[k]
 
     def exponent(self, k: int) -> int:
         return _pair_exponent(1 if self.variant == "order1" else 2, k)
@@ -257,40 +240,26 @@ class SineSeries:
         yield self.first_term - 1, acc
         yield from _term_sums(terms, acc, t, u)
 
-    def partial_sums(self, x, digits: int, n_terms: int):
-        """Yield (n, s_n(x)) for n from one below the first term index to
-        `n_terms`, where s_n is the head plus the series terms k <= n (for
-        the lowest n, the head alone), at mpf x in [0, pi/2] with each
-        coefficient read at `digits` digits.
-
-        One pass of the term loop gives every partial sum.  It runs at the
-        caller's working precision, mp.workdps(digits + 10) for `digits`
-        digits, so iterate it inside that context.
-        """
-        return self.sums_at(x, self.read_terms(digits, n_terms))
-
-    def eval(self, x, digits: int, n_terms: int) -> mp.mpf:
-        """Head terms plus series terms k <= n_terms at mpf x in [0, pi/2],
-        computed at `digits` working digits: the last of `partial_sums`."""
-        with mp.workdps(digits + 10):
-            for _, acc in self.partial_sums(x, digits, n_terms):
-                pass
-            return acc
-
 
 def sine_series(variant: str, n_terms: int) -> SineSeries:
     if variant == "order1":
-        return SineSeries("order1", order1_coefficients(max(n_terms, 2)).coeffs)
+        c = order1_coefficients(max(n_terms, 2)).coeffs
+        return SineSeries("order1", c[:1] + (ORDER1_SERIES_C1,) + c[2:])
     if variant == "order2":
-        return SineSeries("order2", order2_coefficients(max(n_terms, 3)).coeffs)
+        c = order2_coefficients(max(n_terms, 3)).coeffs
+        return SineSeries("order2", ORDER2_SERIES_HEAD + c[3:])
     raise ValueError("variant must be 'order1' or 'order2'")
 
 
 def sine_series_eval(variant: str, x, digits: int, n_terms: int) -> mp.mpf:
     """Head terms plus series terms k <= n_terms at mpf x, computed at
-    `digits` working digits.
+    `digits` working digits: the last partial sum of `SineSeries.sums_at`.
 
     The term count convention matches the published tables: n counts the
     upper summation index (k = 1..n for order 1, k = 0..n for order 2).
     """
-    return sine_series(variant, n_terms).eval(x, digits, n_terms)
+    s = sine_series(variant, n_terms)
+    with mp.workdps(digits + 10):
+        for _, acc in s.sums_at(x, s.read_terms(digits, n_terms)):
+            pass
+        return acc

@@ -9,6 +9,7 @@ from splinebound.bounds import (
     lv_si_lower,
     reflect_to_cos,
     si_lower,
+    SI_MAX_X,
     si_reference,
     sine_lower,
     sine_upper,
@@ -101,14 +102,21 @@ class TestSineIntegral:
             si_reference(x, 30)
 
     @pytest.mark.parametrize("digits", (30, 50))
-    @pytest.mark.parametrize("x", (10, 30, 60, 100))
+    @pytest.mark.parametrize("x", (10, 30, 60, 100, SI_MAX_X))
     def test_reference_correct_for_large_x(self, x, digits):
         # the terms cancel by as many digits as the largest one has, about
-        # 23 at x = 60 and 41 at x = 100
+        # 23 at x = 60, 41 at x = 100 and 430 at x = SI_MAX_X
         ours = si_reference(mp.mpf(x), digits)
         with mp.workdps(2 * digits):
             lib = mp.si(x)
             assert abs(ours / lib - 1) < mp.mpf(10) ** (-digits)
+
+    @pytest.mark.parametrize("x", (2**1100, mp.mpf("1000.5")))
+    def test_reference_rejects_x_above_limit(self, x):
+        # 2^1100 used to overflow float() in the cancellation estimate
+        assert SI_MAX_X == 1000
+        with pytest.raises(ValueError, match="x <= SI_MAX_X = 1000"):
+            si_reference(x, 30)
 
     def test_lower_bound_holds(self):
         digits = 40

@@ -1,9 +1,9 @@
 """Cached and shared values are bit-identical to computing them afresh.
 
-Exact coefficients are converted once per precision, each `Poly` keeps its
-coefficients' signed integer mantissas and exponents once per precision,
-`sine_spline` and the bound builders are built once per order, the cosine
-reflection once per exact value, a figure's sin column is shared by its
+Exact coefficients are converted once per precision, and Horner reads
+each `Poly`'s coefficients through those conversions; `sine_spline` and
+the bound builders are built once per order, the cosine reflection once
+per exact value, a figure's sin column is shared by its
 curves, a table's rows share its grid points, the Si reference is
 memoised per (x, digits), `si_reference` computes each term once, on
 integer mantissas with the bits of a former mpf loop kept here, and each
@@ -46,7 +46,7 @@ from splinebound.bounds import (
 )
 from splinebound.cli import _round_coefficient
 from splinebound.numerics import PiRational, Poly, horner_eval
-from splinebound.series import sine_series
+from splinebound.series import sine_series_eval
 from splinebound.spline import (
     reflect_half_pi,
     sine_endpoint_data,
@@ -70,26 +70,16 @@ def test_conversion_cached_per_precision():
     assert p.to_ext_real(90) is first
 
 
-def test_horner_coefficients_kept_on_the_poly():
+def test_horner_values_match_fresh_coefficients():
     a = sine_spline(3).poly
     b = Poly([fresh_copy(c) for c in a.coefficients], a.variable)
     assert a == b and a is not b
+    # a negative coefficient takes the signed-mantissa path
+    assert any(c.to_ext_real(50) < 0 for c in a.coefficients)
     with mp.workdps(60):
         x = mp.pi / 5
     for digits in (50, 90, 50):
         assert horner_eval(a, x, digits)._mpf_ == horner_eval(b, x, digits)._mpf_
-    # one entry per precision on each instance, each read at its own digits
-    # as a signed (mantissa, exponent) pair
-    for p in (a, b):
-        assert set(p._converted) >= {50, 90}
-        for digits in (50, 90):
-            expected = []
-            for c in reversed(p.coefficients):
-                sign, man, exp, _ = c.to_ext_real(digits)._mpf_
-                expected.append((-man if sign else man, exp))
-            assert p._converted[digits] == tuple(expected)
-            assert any(m < 0 for m, _ in expected)
-    assert a._converted[50] != a._converted[90]
     # no module of the package holds the conversions in a dict keyed by id()
     for name, module in sys.modules.items():
         if name == "splinebound" or name.startswith("splinebound."):
@@ -308,11 +298,12 @@ def test_figure5_shared_sin_column():
     grid = half_pi_grid(25, digits)
     cols = figure_data("5", grid)["columns"]
     for n in range(1, 10):
-        s = sine_series("order1", n)
         with mp.workdps(digits + 10):
             # the former column: its own mp.sin at every point
             expected = [
-                abs(1 - s.eval(xv, digits, n) / mp.sin(xv)) if xv != 0 else mp.mpf(0)
+                abs(1 - sine_series_eval("order1", xv, digits, n) / mp.sin(xv))
+                if xv != 0
+                else mp.mpf(0)
                 for xv in grid.points(digits)
             ]
         assert [v._mpf_ for v in cols[f"series1_{n}"]] == [v._mpf_ for v in expected]

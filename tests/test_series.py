@@ -203,6 +203,19 @@ class TestSineSeries:
         assert float(c1.to_ext_real(20)) == pytest.approx(0.0381974, abs=2e-6)
         assert float(c2.to_ext_real(20)) == pytest.approx(-0.0157130, abs=2e-6)
 
+    def test_head_held_in_coeffs(self):
+        # the closed-form head replaces the error series' own c_k
+        s1, s2 = sine_series("order1", 5), sine_series("order2", 5)
+        assert s1.coeffs[1] is ORDER1_SERIES_C1
+        assert s1.coeffs[2:] == order1_coefficients(5).coeffs[2:]
+        assert s2.coeffs[:3] == ORDER2_SERIES_HEAD
+        assert s2.coeffs[3:] == order2_coefficients(5).coeffs[3:]
+
+    def test_terms_beyond_coefficients_rejected(self):
+        s = sine_series("order1", 3)
+        with pytest.raises(ValueError, match="k=3, need 10"):
+            s.read_terms(30, 10)
+
     @pytest.mark.parametrize("variant", ("order1", "order2"))
     def test_endpoint_values(self, variant):
         with mp.workdps(40):
