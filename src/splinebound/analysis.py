@@ -8,8 +8,8 @@ so that bounds near 1e-100 remain resolvable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import fone, mpf_abs, mpf_div, mpf_sub, round_nearest
@@ -33,19 +33,27 @@ from .series import sine_series
 DEFAULT_SAMPLES = 1000
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Equally spaced sample points, inclusive of both endpoints, with the
-    precision `digits` the endpoints were computed for."""
-
+class _GridFields(NamedTuple):
     left: mp.mpf
     right: mp.mpf
     count: int
     digits: int
 
-    def __post_init__(self):
-        if self.count < 2:
+
+class Grid(_GridFields):
+    """Equally spaced sample points, inclusive of both endpoints, with the
+    precision `digits` the endpoints were computed for.
+
+    Equal and hashed by its four fields: figure and table calls key their
+    shared points by the grid.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, left: mp.mpf, right: mp.mpf, count: int, digits: int):
+        if count < 2:
             raise ValueError("grid needs at least 2 points")
+        return super().__new__(cls, left, right, count, digits)
 
     def points(self, digits: int | None = None):
         digits = digits or self.digits
@@ -63,8 +71,7 @@ def half_pi_grid(count: int = DEFAULT_SAMPLES, digits: int = DEFAULT_DIGITS) -> 
         return Grid(mp.mpf(0), mp.pi / 2, count, digits)
 
 
-@dataclass(frozen=True)
-class RelErrReport:
+class RelErrReport(NamedTuple):
     """Scan result; `rounds` counts the scans made, `digits` is the precision
     of the last one (the one `re_values` come from) and `converged` says
     whether that precision was able to resolve its bound."""

@@ -7,11 +7,10 @@ catalog of published baseline inequalities used for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 from math import factorial, floor, lgamma, log
 from types import SimpleNamespace
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import mpmath as mp
 from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
@@ -23,7 +22,6 @@ from .spline import reflect_half_pi, sine_spline
 Body = Union[Poly, Callable[[mp.mpf, int], mp.mpf]]
 
 
-@dataclass(frozen=True)
 class BoundFn:
     """Evaluable bound descriptor.
 
@@ -35,6 +33,9 @@ class BoundFn:
     A callable body is called as body(x, digits) by `eval_values` only,
     with an mpf x and inside mp.workdps(digits + 10); so a body neither
     converts x nor sets a precision of its own.
+
+    Immutable, and equal and hashed by family, order, direction, target and
+    body: `reflect_to_cos` memoises by that value.
     """
 
     family: str
@@ -43,8 +44,34 @@ class BoundFn:
     target: str  # sin | sinc | cos | si
     body: Body
     # lim_{x->0} body(x)/target(x); None means derive it (poly bodies) or
-    # that the ratio is regular at 0.
-    zero_ratio: Optional[Callable[[int], mp.mpf]] = field(default=None, compare=False)
+    # that the ratio is regular at 0.  Not part of the value.
+    zero_ratio: Optional[Callable[[int], mp.mpf]]
+
+    def __init__(self, family, order, direction, target, body, zero_ratio=None):
+        vars(self).update(
+            family=family, order=order, direction=direction, target=target,
+            body=body, zero_ratio=zero_ratio,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BoundFn is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"BoundFn is immutable: cannot delete {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.family, self.order, self.direction, self.target, self.body)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"BoundFn{self._key()!r}"
 
     def eval_values(self, xs, digits: int) -> list:
         """Body values at each mpf x of `xs`, computed at `digits` working
@@ -120,8 +147,7 @@ def sine_upper(n: int) -> BoundFn:
     return BoundFn("spline_upper", n, "upper", "sin", fn.scale(2) - fn1)
 
 
-@dataclass(frozen=True)
-class SufficiencyCertificate:
+class SufficiencyCertificate(NamedTuple):
     """Margins c_k - 2*d_(k+1) whose positivity validates the order-2 upper bound."""
 
     K: int
@@ -501,8 +527,7 @@ _CATALOG = (
 )
 
 
-@dataclass(frozen=True)
-class _Published:
+class _Published(NamedTuple):
     """Body of a catalog row: its formula, or its declared value at x = 0."""
 
     formula: Callable

@@ -35,7 +35,7 @@ EXIT_CERTIFICATION = 2
 EXIT_TABLE_MISMATCH = 3
 
 # A cold exact build still grows faster than order^2 (a cold `gen cos 64`
-# takes about 2.3 s on one Xeon core, `gen cos 32` 0.5 s), so an unchecked
+# takes about 1.2 s on one Xeon core, `gen cos 32` 0.35 s), so an unchecked
 # order can run for hours; the published tables go up to order 32.
 MAX_ORDER = 64
 

@@ -271,6 +271,8 @@ class Poly:
         return Poly([c * s for c in self.coefficients], self.variable)
 
     def __pow__(self, n: int) -> "Poly":
+        if n < 0:
+            raise ValueError("Poly powers must be >= 0")
         out = Poly([PiRational.one()], self.variable)
         base = self
         for _ in range(n):
@@ -309,8 +311,20 @@ class Poly:
         coefficient's `terms` come out in the same insertion order too.
         That order matters beyond `==`: `to_ext_real` sums the terms in it,
         and the printed decimals of high orders depend on its rounding.
+
+        With a = 0 and a single-term b the loop only shifts and scales each
+        c_m, where nothing merges or cancels, so the result is c_m * b**m
+        with each c_m's terms in their own order.  A multi-term b stays on
+        the loop: there the order of the products decides which terms cancel.
         """
         var = variable or self.variable
+        if a.is_zero() and len(b.terms) == 1:
+            ((jb, qb),) = b.terms.items()
+            out, scale = [], Fraction(1)
+            for m, c in enumerate(self.coefficients):
+                out.append(PiRational({j + m * jb: q * scale for j, q in c.terms.items()}))
+                scale *= qb
+            return Poly(out, var)
         step = lcm(*(q.denominator for f in (a, b) for q in f.terms.values()))
         lin = (_numerators(a, step), _numerators(b, step))
         den = lcm(*(q.denominator for c in self.coefficients for q in c.terms.values()))
@@ -351,6 +365,10 @@ def _numerators(p: PiRational, den: int) -> dict[int, int]:
 def _times(terms: dict[int, int], factor: dict[int, int]) -> dict[int, int]:
     """Product of two term dicts, cancelled terms dropped after the sum,
     as `PiRational.__mul__` does."""
+    if len(factor) == 1:
+        # one term: each power shifts, so nothing merges or cancels
+        ((j2, v2),) = factor.items()
+        return {j1 + j2: v1 * v2 for j1, v1 in terms.items()}
     out: dict[int, int] = {}
     for j1, v1 in terms.items():
         for j2, v2 in factor.items():
@@ -367,6 +385,25 @@ def _add_into(acc: dict[int, int], terms: dict[int, int]) -> None:
             acc[j] = v
         else:
             del acc[j]
+
+
+def combine_rows(pairs, size: int) -> list:
+    """The `size` sums over m of scalar * row[m] for the (PiRational
+    scalar, integer row) pairs, each sum added up in pair order.
+
+    The sums run on integer numerators over one shared denominator, with
+    the appends and drops of the same sums in `PiRational` arithmetic, so
+    every coefficient's `terms` come out in that insertion order; each
+    term becomes a `Fraction` once, at the end.
+    """
+    den = lcm(*(q.denominator for scalar, _ in pairs for q in scalar.terms.values()))
+    sums: list[dict[int, int]] = [{} for _ in range(size)]
+    for scalar, row in pairs:
+        nums = _numerators(scalar, den)
+        for m, c in enumerate(row):
+            if c:
+                _add_into(sums[m], _times(nums, {0: c}))
+    return [PiRational({j: Fraction(v, den) for j, v in t.items()}) for t in sums]
 
 
 def horner_values(p: Poly, xs, digits: int) -> list:

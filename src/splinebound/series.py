@@ -9,8 +9,9 @@ Re-arranged, the same data gives rapidly converging series for sin(x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import mpf_add, mpf_mul, mpf_pow_int, round_nearest
@@ -96,8 +97,7 @@ def order2_coefficients(K: int) -> "ErrorSeries":
     return ErrorSeries(spline_order=2, coeffs=tuple(c), start_index=_ORDER2_START)
 
 
-@dataclass(frozen=True)
-class ErrorSeries:
+class ErrorSeries(NamedTuple):
     """Coefficients c_k and exponent rule for eps_n(t) = sum c_k t^k (1-t)^p(k)."""
 
     spline_order: int
@@ -191,8 +191,7 @@ ORDER2_SERIES_HEAD = (
 )
 
 
-@dataclass(frozen=True)
-class SineSeries:
+class SineSeries(NamedTuple):
     """Convergent series for sin(x) on [0, pi/2] built from an error series.
 
     variant "order1": sin(x) = 2x/pi + (2x/pi)(1 - 2x/pi)
@@ -241,7 +240,14 @@ class SineSeries:
         yield from _term_sums(terms, acc, t, u)
 
 
+# Table 5.1 and figures 5 and 6 ask for 20 (variant, n) pairs.  A series to
+# n = 40 holds about 60 KB with its conversions at two precisions, so the
+# memo stays under 2 MB.
+@lru_cache(maxsize=32)
 def sine_series(variant: str, n_terms: int) -> SineSeries:
+    """The series of `variant` with its coefficients to k = n_terms (at
+    least its head), built once per (variant, n_terms) and shared, so each
+    coefficient keeps its conversions between calls."""
     if variant == "order1":
         c = order1_coefficients(max(n_terms, 2)).coeffs
         return SineSeries("order1", c[:1] + (ORDER1_SERIES_C1,) + c[2:])

@@ -9,12 +9,12 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
+from typing import NamedTuple
 
-from .numerics import PiRational, Poly, Var
+from .numerics import PiRational, Poly, Var, combine_rows
 
 HALF_PI = PiRational.pi_term(1, 1, 2)
 TWO_OVER_PI = PiRational.pi_term(-1, 2)
@@ -27,8 +27,7 @@ def _sin_quarter(k: int) -> PiRational:
     return PiRational.from_rational(_SIN_CYCLE[k % 4])
 
 
-@dataclass(frozen=True)
-class EndpointData:
+class EndpointData(NamedTuple):
     """Endpoint abscissae and derivative lists f^(k) for k = 0..n."""
 
     alpha: PiRational
@@ -50,8 +49,7 @@ class EndpointData:
             raise ValueError("alpha must be strictly below beta")
 
 
-@dataclass(frozen=True)
-class SplineApproximant:
+class SplineApproximant(NamedTuple):
     """Degree <= 2n+1 polynomial matching endpoint data of order n."""
 
     order: int
@@ -101,7 +99,10 @@ def two_point_spline(data: EndpointData, n: int) -> SplineApproximant:
     width = data.beta - data.alpha
     inv_width = width.inverse()
 
-    total = [PiRational.zero()] * (2 * n + 2)
+    width_powers = [PiRational.one()]
+    for _ in range(n):
+        width_powers.append(width_powers[-1] * width)
+    scaled = []
     alpha_basis, beta_basis = _hermite_basis(n)
     for derivs, sign, basis in (
         (data.derivs_alpha, 1, alpha_basis),
@@ -110,15 +111,12 @@ def two_point_spline(data: EndpointData, n: int) -> SplineApproximant:
         for k, fk in enumerate(derivs):
             if isinstance(fk, PiRational) and fk.is_zero():
                 continue
-            scalar = (width**k) * fk * Fraction(sign**k, factorial(k))
-            for m, c in enumerate(basis[k]):
-                if c:
-                    total[m] = total[m] + scalar * c
+            scalar = width_powers[k] * fk * Fraction(sign**k, factorial(k))
+            scaled.append((scalar, basis[k]))
 
+    total = Poly(combine_rows(scaled, 2 * n + 2), Var.X_ON_0_HALFPI)
     # back-substitute u = (x - alpha)/width
-    poly = Poly(total, Var.X_ON_0_HALFPI).substitute_affine(
-        -data.alpha * inv_width, inv_width
-    )
+    poly = total.substitute_affine(-data.alpha * inv_width, inv_width)
     return SplineApproximant(order=n, poly=poly, target="generic")
 
 

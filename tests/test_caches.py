@@ -36,17 +36,19 @@ from splinebound.analysis import (
 from splinebound.bounds import (
     BoundFn,
     _si_sum,
+    baseline_catalog,
     reflect_to_cos,
     si_lower,
     si_reference,
     sine_lower,
     sine_upper,
+    sufficiency_check,
     zhu_alpha,
     zhu_bound,
 )
 from splinebound.cli import _round_coefficient
 from splinebound.numerics import PiRational, Poly, horner_eval
-from splinebound.series import sine_series_eval
+from splinebound.series import order1_coefficients, sine_series, sine_series_eval
 from splinebound.spline import (
     reflect_half_pi,
     sine_endpoint_data,
@@ -94,6 +96,62 @@ def test_sine_spline_built_once(n):
     assert sine_spline(n) is s
     assert isinstance(s.poly.coefficients, tuple)
     assert s.poly == two_point_spline(sine_endpoint_data(n), n).poly
+
+
+@pytest.mark.parametrize("variant,n", (("order1", 9), ("order2", 20)))
+def test_sine_series_built_once(variant, n):
+    # a repeated call shares one series, so its coefficients convert once;
+    # its values are those of a series built afresh
+    s = sine_series(variant, n)
+    assert sine_series(variant, n) is s
+    fresh = sine_series.__wrapped__(variant, n)
+    assert fresh is not s and fresh == s
+    x = mp.mpf(1)
+    with mp.workdps(60):
+        *_, (_, want) = fresh.sums_at(x, fresh.read_terms(50, n))
+    for _ in range(2):
+        assert sine_series_eval(variant, x, 50, n)._mpf_ == want._mpf_
+    maxsize = sine_series.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+
+
+def test_grid_equal_values_hash_alike():
+    a, b = half_pi_grid(11, 30), half_pi_grid(11, 30)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a: 0, b: 1}) == 1
+    assert a != half_pi_grid(12, 30) and a != half_pi_grid(11, 40)
+
+
+def test_bound_value_leaves_out_zero_ratio():
+    body = sine_lower(3).body
+    plain = BoundFn("spline", 3, "lower", "sin", body)
+    ratio = BoundFn("spline", 3, "lower", "sin", body, zero_ratio=lambda d: mp.mpf(1))
+    assert plain == ratio and hash(plain) == hash(ratio)
+    assert plain != BoundFn("spline", 3, "upper", "sin", body)
+    assert reflect_to_cos(ratio) is reflect_to_cos(plain)
+
+
+def _value_objects():
+    return [
+        (half_pi_grid(5, 30), "count"),
+        (sine_lower(2), "body"),
+        (baseline_catalog()[0].body, "formula"),
+        (sine_endpoint_data(2), "alpha"),
+        (sine_spline(2), "poly"),
+        (sine_series("order1", 3), "coeffs"),
+        (order1_coefficients(3), "coeffs"),
+        (sufficiency_check(3), "margins"),
+        (re_bound_scan(sine_lower(1), reference_for("sin"), half_pi_grid(5, 30), 30), "re_bound"),
+    ]
+
+
+def test_values_are_immutable():
+    for value, field in _value_objects():
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) is not None
 
 
 def test_certify_repeatable():

@@ -334,19 +334,32 @@ class TestGolden:
         } == _GOLDEN[request_key]
 
 
+def run_child(*argv):
+    """A fresh interpreter run with `argv`, importing the same package as
+    this test, installed or not."""
+    src = os.path.dirname(os.path.dirname(splinebound.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=120, env=env
+    )
+
+
 class TestEntryPoint:
     def test_installed_script(self):
-        # the child imports the same package as this test, installed or not
-        src = os.path.dirname(os.path.dirname(splinebound.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "splinebound.cli", "gen", "sin", "1", "exact"],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env=env,
-        )
+        proc = run_child("-m", "splinebound.cli", "gen", "sin", "1", "exact")
         assert proc.returncode == 0
         payload = json.loads(proc.stdout)
         assert payload["target"] == "sin"
+
+    def test_import_loads_no_dataclasses(self):
+        # each CLI request is a fresh process and pays for every module the
+        # package imports; it needs neither `dataclasses` nor the `inspect`
+        # that `dataclasses` imports
+        proc = run_child(
+            "-c",
+            "import sys; before = set(sys.modules); import splinebound.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

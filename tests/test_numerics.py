@@ -120,6 +120,13 @@ class TestPoly:
         p = Poly([PiRational.one(), PiRational.zero(), PiRational.zero()])
         assert p.degree == 0
 
+    def test_powers(self):
+        p = Poly([PiRational.one(), PiRational.one()])
+        assert p**0 == Poly([PiRational.one()])
+        assert p**2 == Poly([PiRational.from_rational(c) for c in (1, 2, 1)])
+        with pytest.raises(ValueError):
+            p**-1
+
     def test_horner_endpoint(self):
         # (2/pi) x at x = pi/2 gives 1
         p = Poly([PiRational.zero(), PiRational.pi_term(-1, 2)])

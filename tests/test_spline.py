@@ -233,7 +233,7 @@ def term_items(p):
 
 
 class TestTermOrder:
-    @pytest.mark.parametrize("n", [*range(17), 24])
+    @pytest.mark.parametrize("n", [*range(17), 24, 32])
     def test_sine_spline(self, n):
         ref = ref_two_point_spline(sine_endpoint_data(n), n)
         assert term_items(sine_spline(n).poly) == term_items(ref)
@@ -278,6 +278,36 @@ class TestTermOrder:
         got = p.substitute_affine(a, b)
         assert term_items(got) == term_items(ref_substitute_affine(p, a, b))
         assert list(got.coeff(0).terms) == [-1, -2, 1, 0]
+
+    def test_zero_shift_single_term_scales(self):
+        # a = 0 and b = -2/pi: c_m * b**m, each c_m's terms in their own order
+        p = Poly([
+            PiRational({1: 1, 0: -3}),
+            PiRational({-1: 2, 2: 1, 0: 5}),
+            PiRational.zero(),
+            PiRational({0: Fraction(1, 3), 3: -1}),
+        ])
+        a, b = PiRational.zero(), PiRational.pi_term(-1, -2)
+        got = p.substitute_affine(a, b)
+        assert term_items(got) == term_items(ref_substitute_affine(p, a, b))
+        assert got.coeff(1) == PiRational({-2: -4, 1: -2, -1: -10})
+        assert list(got.coeff(1).terms) == [-2, 1, -1]
+        assert got.coeff(3).terms == {-3: Fraction(-8, 3), 0: 8}
+
+    def test_zero_shift_multi_term_b(self):
+        # a = 0 and b = 1 - 1/pi: the Horner steps merge the products of b's
+        # terms in an order c_2 * b**2 would not, so the y^2 terms come out
+        # as -2, -3, 0, -1 where the power would give -1, -2, -3, 0
+        p = Poly([
+            PiRational.pi_term(-1, 1),
+            PiRational.pi_term(-1, 1),
+            PiRational({-1: 1, 0: 1}),
+        ])
+        a, b = PiRational.zero(), PiRational({0: 1, -1: -1})
+        got = p.substitute_affine(a, b)
+        assert term_items(got) == term_items(ref_substitute_affine(p, a, b))
+        assert list(got.coeff(2).terms) == [-2, -3, 0, -1]
+        assert list((p.coeff(2) * b**2).terms) == [-1, -2, -3, 0]
 
     @given(data=generic_endpoint_data())
     @settings(max_examples=40, deadline=None)
