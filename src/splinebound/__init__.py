@@ -11,7 +11,6 @@ from .numerics import (
 )
 from .spline import (
     EndpointData,
-    SplineApproximant,
     cosine_spline,
     sine_spline,
     two_point_spline,

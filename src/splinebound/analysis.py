@@ -8,7 +8,7 @@ so that bounds near 1e-100 remain resolvable.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from typing import NamedTuple
 
 import mpmath as mp
@@ -76,8 +76,6 @@ class RelErrReport(NamedTuple):
     of the last one (the one `re_values` come from) and `converged` says
     whether that precision was able to resolve its bound."""
 
-    bound_id: str
-    grid: Grid
     re_values: tuple
     re_bound: mp.mpf
     argmax: mp.mpf
@@ -197,28 +195,12 @@ def relative_error(approx: BoundFn, reference, x, digits: int) -> mp.mpf:
     return relative_errors(approx, reference, [x], digits)[0]
 
 
-def _scan_once(approx: BoundFn, reference, grid: Grid, xs, digits: int):
-    with mp.workdps(digits + 10):
-        values = relative_errors(approx, reference, xs, digits)
-        best = mp.mpf(0)
-        arg = mp.mpf(grid.left)
-        for xv, re in zip(xs, values):
-            if abs(re) > best:
-                best = abs(re)
-                arg = xv
-        return values, best, arg
-
-
 def re_bound_scan(
-    approx: BoundFn,
-    reference,
-    grid: Grid,
-    digits: int | None = None,
-    max_rounds: int = 4,
-    points=None,
+    approx: BoundFn, reference, grid: Grid, max_rounds: int = 4, points=None
 ) -> RelErrReport:
     """Full relative-error report over the grid.
 
+    The first scan runs at the grid's precision, at least DEFAULT_DIGITS.
     The precision context is raised and the scan repeated until the measured
     bound is well above rounding noise (re_bound >> 10^-digits), for at most
     `max_rounds` scans; the report says whether that happened.  Each scan
@@ -227,19 +209,22 @@ def re_bound_scan(
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    digits = digits or max(grid.digits, DEFAULT_DIGITS)
+    digits = max(grid.digits, DEFAULT_DIGITS)
     points = points or grid.points
     for rounds in range(1, max_rounds + 1):
-        values, best, arg = _scan_once(approx, reference, grid, points(digits), digits)
-        needed = digits_for_bound(float(best), floor=DEFAULT_DIGITS)
+        xs = points(digits)
+        with mp.workdps(digits + 10):
+            values = relative_errors(approx, reference, xs, digits)
+            best, arg = mp.mpf(0), xs[0]
+            for xv, re in zip(xs, values):
+                if abs(re) > best:
+                    best, arg = abs(re), xv
+        needed = digits_for_bound(float(best))
         converged = best == 0 or needed <= digits
         if converged or rounds == max_rounds:
             break
         digits = needed
-    bound_id = f"{approx.family}:{approx.target}:{approx.direction}:{approx.order}"
     return RelErrReport(
-        bound_id=bound_id,
-        grid=grid,
         re_values=tuple(values),
         re_bound=best,
         argmax=arg,
@@ -249,29 +234,28 @@ def re_bound_scan(
     )
 
 
-def certify_direction(
-    approx: BoundFn, grid: Grid, digits: int | None = None
-) -> tuple[bool, RelErrReport]:
+def certify_direction(approx: BoundFn, grid: Grid) -> tuple[bool, RelErrReport]:
     """Grid certification that the declared direction holds everywhere.
 
     Lower bounds must have re >= 0 at every point, upper bounds re <= 0
     (re = 1 - f_A/f, f > 0 on the sampled interior).  At the sharp points the
     true re is exactly 0 and the computed value is pure rounding noise, so
     sign excursions below the evaluation noise floor (10 digits above the
-    working epsilon) do not count as violations.
+    working epsilon) do not count as violations.  A bound that claims
+    neither direction raises ValueError.
     """
-    report = re_bound_scan(approx, reference_for(approx.target), grid, digits)
+    if approx.direction not in ("lower", "upper"):
+        raise ValueError(f"no direction to certify: {approx.direction!r}")
+    report = re_bound_scan(approx, reference_for(approx.target), grid)
     floor = mp.mpf(10) ** (-(report.digits - 10))
     if approx.direction == "lower":
         ok = all(v >= -floor for v in report.re_values)
-    elif approx.direction == "upper":
-        ok = all(v <= floor for v in report.re_values)
     else:
-        ok = True
+        ok = all(v <= floor for v in report.re_values)
     return ok, report
 
 
-def scale_check(f0_form: BoundFn, grid: Grid, digits: int | None = None) -> dict:
+def scale_check(f0_form: BoundFn, grid: Grid) -> dict:
     """Confirm re in x-coordinates equals re of the t-substituted form at t = 2x/pi.
 
     The t-form polynomial p(pi*t/2) is built symbolically, so the two sides
@@ -279,7 +263,7 @@ def scale_check(f0_form: BoundFn, grid: Grid, digits: int | None = None) -> dict
     """
     if f0_form.target != "sin" or not isinstance(f0_form.body, Poly):
         raise ValueError("scale check applies to polynomial sin bounds")
-    digits = digits or max(grid.digits, DEFAULT_DIGITS)
+    digits = max(grid.digits, DEFAULT_DIGITS)
     from .numerics import PiRational, Var
     from .spline import HALF_PI
 
@@ -402,33 +386,18 @@ def _series_re(variant: str, ns, xs, refs, digits: int) -> dict:
 # at run time sees every call.
 
 
-def _scanned(build, row, grid: Grid, digits: int, refs, points):
+def _scanned(build, row, grid: Grid, refs, points):
     """Table cell: the bound build(row) and its max |re| on the grid."""
     bound = build(row)
-    rep = re_bound_scan(bound, refs(bound.target), grid, digits, points=partial(points, grid))
+    rep = re_bound_scan(bound, refs(bound.target), grid, points=partial(points, grid))
     return bound, rep.re_bound
 
 
-def _series_max(variant: str, n: int, grid: Grid, digits: int, refs, points):
+def _series_max(variant: str, n: int, grid: Grid, refs, points):
     """Table cell: no bound, and the largest value of the series column."""
+    digits = grid.digits
     (column,) = _series_re(variant, [n], points(grid, digits), refs, digits).values()
     return None, max(column)
-
-
-def _call_points():
-    """grid.points for the rows of one table call: each distinct point set
-    built once and kept only as long as the returned lookup.  A point set
-    depends only on the grid's value and the precision, and no scan changes
-    its list."""
-    kept = {}
-
-    def points(grid: Grid, digits: int):
-        xs = kept.get((grid, digits))
-        if xs is None:
-            xs = kept[(grid, digits)] = grid.points(digits)
-        return xs
-
-    return points
 
 
 # table id -> (row label, whether rows show their bound's direction, columns);
@@ -456,7 +425,8 @@ def reproduce_table(table_id: str, samples: int = DEFAULT_SAMPLES) -> list[dict]
         raise ValueError(f"unknown table id {table_id!r}")
     label, show_direction, columns = _TABLES[table_id]
     refs = _call_references()
-    points = _call_points()
+    # each distinct point set built once per call; no scan changes its list
+    points = cache(lambda grid, digits: grid.points(digits))
     rows: list[dict] = []
     for key in columns[0][1]:
         row = {"table": table_id, label: key}
@@ -467,8 +437,8 @@ def reproduce_table(table_id: str, samples: int = DEFAULT_SAMPLES) -> list[dict]
                 row[f"computed{suffix}"] = None
                 row[f"expected{suffix}"] = "not stated in source table"
                 continue
-            digits = digits_for_bound(expected)
-            bound, computed = cell(key, half_pi_grid(samples, digits), digits, refs, points)
+            grid = half_pi_grid(samples, digits_for_bound(expected))
+            bound, computed = cell(key, grid, refs, points)
             if show_direction:
                 row["direction"] = bound.direction
             row[f"computed{suffix}"] = computed

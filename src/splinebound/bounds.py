@@ -130,7 +130,7 @@ class BoundFn:
 @cache
 def sine_lower(n: int) -> BoundFn:
     """n-th order spline approximant as a lower bound, sharp at 0 and pi/2."""
-    return BoundFn("spline", n, "lower", "sin", sine_spline(n).poly)
+    return BoundFn("spline", n, "lower", "sin", sine_spline(n))
 
 
 @cache
@@ -142,27 +142,23 @@ def sine_upper(n: int) -> BoundFn:
     """
     if n < 2:
         raise ValueError("upper bounds start at order 2")
-    fn = sine_spline(n).poly
-    fn1 = sine_spline(n - 1).poly
-    return BoundFn("spline_upper", n, "upper", "sin", fn.scale(2) - fn1)
+    return BoundFn("spline_upper", n, "upper", "sin", sine_spline(n).scale(2) - sine_spline(n - 1))
 
 
 class SufficiencyCertificate(NamedTuple):
     """Margins c_k - 2*d_(k+1) whose positivity validates the order-2 upper bound."""
 
-    K: int
     margins: tuple
     all_positive: bool
 
 
-def sufficiency_check(K: int, digits: int = 50) -> SufficiencyCertificate:
-    """Exact margins c_k - 2*d_(k+1) for 2 <= k <= K, signs read at >= 50 digits."""
+def sufficiency_check(K: int) -> SufficiencyCertificate:
+    """Exact margins c_k - 2*d_(k+1) for 2 <= k <= K, signs read at 50 digits."""
     c = order1_coefficients(K).coeffs
     d = order2_coefficients(K + 1).coeffs
-    digits = max(digits, 50)
     margins = tuple(c[k] - 2 * d[k + 1] for k in range(2, K + 1))
-    all_pos = all(m.to_ext_real(digits) > 0 for m in margins)
-    return SufficiencyCertificate(K=K, margins=margins, all_positive=all_pos)
+    all_pos = all(m.to_ext_real(50) > 0 for m in margins)
+    return SufficiencyCertificate(margins=margins, all_positive=all_pos)
 
 
 @lru_cache(maxsize=256)
@@ -182,7 +178,7 @@ def si_lower(n: int) -> BoundFn:
     """Lower bound for Si(x): term-wise integral of the sine spline over lambda."""
     from .numerics import integrate_over_lambda
 
-    return BoundFn("spline", n, "lower", "si", integrate_over_lambda(sine_spline(n).poly))
+    return BoundFn("spline", n, "lower", "si", integrate_over_lambda(sine_spline(n)))
 
 
 # Largest x `si_reference` sums the series at: x = 1000 takes about 0.3 s
@@ -236,9 +232,6 @@ def _si_sum(xm: int, xe: int, digits: int, wp: int) -> tuple:
         return 0, 0
     cm, ce = _si_cutoff(digits)
     ctop = ce + cm.bit_length()
-    # both operands of a sum hold at most wp + 1 bits: beyond this exponent
-    # gap the larger is the rounded sum, as in `horner_values`
-    gap = 2 * wp + 8
     chains = {}
     tm, te = xm, xe  # the sum so far: the first term, x
     n = 1
@@ -261,10 +254,6 @@ def _si_sum(xm: int, xe: int, digits: int, wp: int) -> tuple:
         if n & 2:
             qm = -qm
         if not tm:
-            tm, te = qm, qe
-        elif te - qe > gap:
-            pass
-        elif qe - te > gap:
             tm, te = qm, qe
         elif te >= qe:
             tm, te = _round((tm << (te - qe)) + qm, qe, wp)
@@ -376,6 +365,8 @@ def zhu_values(x, constants, columns) -> list:
 @cache
 def zhu_bound(n: int, direction: str) -> BoundFn:
     """Order-n Zhu bound for sin(x)/x in the variable u = pi^2 - 4x^2."""
+    if direction not in ("lower", "upper"):
+        raise ValueError(f"direction must be 'lower' or 'upper', got {direction!r}")
     consts = {}
 
     def body(x, digits):

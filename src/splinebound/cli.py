@@ -226,11 +226,8 @@ def cmd_codegen(args) -> int:
     rounded, kernel = codegen_kernel(args.target, args.order, digits)
     expected = analysis.TABLE_3_1 if args.target in ("sin", "cos") else analysis.TABLE_5_2
     hint = expected.get(args.order, 1e-20)
-    scan_digits = analysis.digits_for_bound(hint)
-    grid = analysis.half_pi_grid(args.samples, scan_digits)
-    report = analysis.re_bound_scan(
-        kernel, analysis.reference_for(kernel.target), grid, scan_digits
-    )
+    grid = analysis.half_pi_grid(args.samples, analysis.digits_for_bound(hint))
+    report = analysis.re_bound_scan(kernel, analysis.reference_for(kernel.target), grid)
     payload = {
         "target": args.target,
         "order": args.order,

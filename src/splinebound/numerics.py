@@ -192,13 +192,14 @@ class PiRational:
 DEFAULT_DIGITS = 50
 
 
-def digits_for_bound(expected_bound: float, floor: int = DEFAULT_DIGITS) -> int:
-    """Precision context able to resolve a relative error near `expected_bound`."""
+def digits_for_bound(expected_bound: float) -> int:
+    """Precision context able to resolve a relative error near
+    `expected_bound`, at least DEFAULT_DIGITS."""
     if expected_bound <= 0:
-        return floor
+        return DEFAULT_DIGITS
     with mp.workdps(30):
         need = 2 * int(mp.ceil(-mp.log10(mp.mpf(expected_bound)))) + 20
-    return max(floor, need)
+    return max(DEFAULT_DIGITS, need)
 
 
 class Var(enum.Enum):

@@ -35,26 +35,15 @@ class EndpointData(NamedTuple):
     derivs_alpha: tuple
     derivs_beta: tuple
 
-    def order(self) -> int:
-        return len(self.derivs_alpha) - 1
-
-    def validate(self, n: int):
-        if len(self.derivs_alpha) != n + 1 or len(self.derivs_beta) != n + 1:
+    def validate(self):
+        if not self.derivs_alpha or len(self.derivs_alpha) != len(self.derivs_beta):
             raise ValueError(
-                f"order {n} needs {n + 1} derivative values at each endpoint"
+                "each endpoint needs the same nonempty list of derivative values"
             )
         a = self.alpha.to_ext_real(30)
         b = self.beta.to_ext_real(30)
         if not a < b:
             raise ValueError("alpha must be strictly below beta")
-
-
-class SplineApproximant(NamedTuple):
-    """Degree <= 2n+1 polynomial matching endpoint data of order n."""
-
-    order: int
-    poly: Poly
-    target: str
 
 
 def _hermite_basis(n: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -79,8 +68,9 @@ def _hermite_basis(n: int) -> tuple[list[list[int]], list[list[int]]]:
     return alpha, beta
 
 
-def two_point_spline(data: EndpointData, n: int) -> SplineApproximant:
-    """Build the n-th order two-point Hermite interpolant, exactly.
+def two_point_spline(data: EndpointData) -> Poly:
+    """Build the two-point Hermite interpolant of `data`, exactly; its order
+    n is one less than the length of each derivative list.
 
     The interpolant is expanded in the normalized variable u = (x - alpha) /
     (beta - alpha), where each endpoint polynomial has integer coefficients
@@ -95,7 +85,8 @@ def two_point_spline(data: EndpointData, n: int) -> SplineApproximant:
     order.  `to_ext_real` sums the terms in that order, so the order is
     part of the output: it fixes the rounding of printed decimals.
     """
-    data.validate(n)
+    data.validate()
+    n = len(data.derivs_alpha) - 1
     width = data.beta - data.alpha
     inv_width = width.inverse()
 
@@ -116,8 +107,7 @@ def two_point_spline(data: EndpointData, n: int) -> SplineApproximant:
 
     total = Poly(combine_rows(scaled, 2 * n + 2), Var.X_ON_0_HALFPI)
     # back-substitute u = (x - alpha)/width
-    poly = total.substitute_affine(-data.alpha * inv_width, inv_width)
-    return SplineApproximant(order=n, poly=poly, target="generic")
+    return total.substitute_affine(-data.alpha * inv_width, inv_width)
 
 
 def sine_endpoint_data(n: int) -> EndpointData:
@@ -131,7 +121,7 @@ def sine_endpoint_data(n: int) -> EndpointData:
 
 
 @cache
-def sine_spline(n: int) -> SplineApproximant:
+def sine_spline(n: int) -> Poly:
     """n-th order spline approximant to sin(x) on [0, pi/2], exact coefficients.
 
     Built once per order and shared by every caller: treat the result as
@@ -139,8 +129,7 @@ def sine_spline(n: int) -> SplineApproximant:
     """
     if n < 0:
         raise ValueError("order must be >= 0")
-    s = two_point_spline(sine_endpoint_data(n), n)
-    return SplineApproximant(order=n, poly=s.poly, target="sin")
+    return two_point_spline(sine_endpoint_data(n))
 
 
 def reflect_half_pi(p: Poly) -> Poly:
@@ -149,15 +138,11 @@ def reflect_half_pi(p: Poly) -> Poly:
 
 
 @cache
-def cosine_spline(n: int) -> SplineApproximant:
+def cosine_spline(n: int) -> Poly:
     """n-th order spline approximant to cos(y) on [0, pi/2].
 
     Equal, coefficient by coefficient, to the sine spline reflected through
     pi/2 (and to the generic interpolant fed with cosine endpoint data).
     Built once per order and shared, like `sine_spline`.
     """
-    if n < 0:
-        raise ValueError("order must be >= 0")
-    return SplineApproximant(
-        order=n, poly=reflect_half_pi(sine_spline(n).poly), target="cos"
-    )
+    return reflect_half_pi(sine_spline(n))

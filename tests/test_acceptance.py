@@ -11,12 +11,10 @@ reproducible to about that level).
 from fractions import Fraction
 
 import mpmath as mp
-import pytest
 
 from splinebound.analysis import (
     certify_direction,
     half_pi_grid,
-    matches_sig_figs,
     re_bound_scan,
     reference_for,
     reproduce_table,
@@ -75,8 +73,8 @@ def test_criterion_4_table_5_2():
 
 
 def test_criterion_5_exact_fixtures():
-    ok = all(sine_spline(n).poly == SINE_SPLINES[n] for n in SINE_SPLINES)
-    ok = ok and all(cosine_spline(n).poly == COSINE_SPLINES[n] for n in COSINE_SPLINES)
+    ok = all(sine_spline(n) == SINE_SPLINES[n] for n in SINE_SPLINES)
+    ok = ok and all(cosine_spline(n) == COSINE_SPLINES[n] for n in COSINE_SPLINES)
     ok = ok and all(si_lower(n).body == SI_SPLINES[n] for n in SI_SPLINES)
     ok = ok and sine_upper(2).body == F2_UPPER
     assert report(5, "exact coefficient fixtures", ok)
@@ -131,7 +129,7 @@ def _suite_d():
     with mp.workdps(digits + 10):
         for build, order in ((order1_coefficients, 1), (order2_coefficients, 2)):
             series = build(120)
-            spline = sine_spline(order).poly
+            spline = sine_spline(order)
             for i in range(101):
                 t = mp.mpf(i) / 100
                 x = mp.pi * t / 2
@@ -148,7 +146,7 @@ def _suite_e():
     for build, order in ((order1_coefficients, 1), (order2_coefficients, 2)):
         series = build(10)
         expanded = series.to_monomials(10)
-        spline_in_t = sine_spline(order).poly.substitute_affine(
+        spline_in_t = sine_spline(order).substitute_affine(
             PiRational.zero(), HALF_PI, Var.T_ON_0_1
         )
         for m in range(11):
@@ -212,7 +210,7 @@ def _rounded_re_bound(coeff_specs, expected):
     poly = Poly(coeffs, Var.X_ON_0_HALFPI)
     kernel = BoundFn("kernel", 0, "approximation", "sin", poly)
     rep = re_bound_scan(
-        kernel, reference_for("sin"), half_pi_grid(SAMPLES, digits), digits
+        kernel, reference_for("sin"), half_pi_grid(SAMPLES, digits)
     )
     return rep.re_bound
 

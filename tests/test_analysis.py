@@ -83,10 +83,18 @@ class TestReBoundScan:
         assert rep.digits >= 50
         assert rep.re_bound > mp.mpf(10) ** (-rep.digits + 10)
 
+    @pytest.mark.parametrize("grid_digits, digits", ((90, 90), (30, 50)))
+    def test_first_round_at_grid_digits(self, grid_digits, digits):
+        # the first round runs at the grid's digits, at least 50
+        rep = re_bound_scan(
+            sine_lower(2), reference_for("sin"), half_pi_grid(20, grid_digits)
+        )
+        assert (rep.rounds, rep.converged, rep.digits) == (1, True, digits)
+
     def test_needs_a_round(self):
         with pytest.raises(ValueError, match="max_rounds"):
             re_bound_scan(
-                sine_lower(2), reference_for("sin"), half_pi_grid(10, 50), 50, max_rounds=0
+                sine_lower(2), reference_for("sin"), half_pi_grid(10, 50), max_rounds=0
             )
 
     def test_grid_refinement_stable(self):
@@ -119,6 +127,13 @@ class TestCertification:
         impostor = BoundFn("spline", 2, "upper", "sin", sine_lower(2).body)
         ok, _ = certify_direction(impostor, half_pi_grid(200, 50))
         assert not ok
+
+    def test_unknown_direction_rejected(self):
+        from splinebound.bounds import BoundFn
+
+        misspelt = BoundFn("spline", 2, "lowr", "sin", sine_lower(2).body)
+        with pytest.raises(ValueError, match="no direction"):
+            certify_direction(misspelt, half_pi_grid(10, 50))
 
 
 class TestScaleCheck:

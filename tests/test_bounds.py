@@ -30,7 +30,7 @@ class TestUpperConstruction:
 
     def test_equals_difference_of_splines(self):
         for n in (2, 3, 4):
-            explicit = sine_spline(n).poly.scale(2) - sine_spline(n - 1).poly
+            explicit = sine_spline(n).scale(2) - sine_spline(n - 1)
             assert sine_upper(n).body == explicit
 
     def test_cos_upper_closed_form(self):
@@ -221,6 +221,11 @@ class TestZhu:
                 for d in ("lower", "upper"):
                     v = zhu_bound(n, d).eval_raw(x, digits)
                     assert abs(v - 2 / mp.pi) < mp.mpf(10) ** (-digits + 5)
+
+    @pytest.mark.parametrize("direction", ("Lower", "approximation"))
+    def test_unknown_direction_rejected(self, direction):
+        with pytest.raises(ValueError, match="direction"):
+            zhu_bound(1, direction)
 
 
 def _direction_holds(b, x, digits):

@@ -62,7 +62,7 @@ def fresh_copy(p: PiRational) -> PiRational:
 
 
 def test_conversion_cached_per_precision():
-    p = sine_spline(2).poly.coeff(3)
+    p = sine_spline(2).coeff(3)
     assert len(p.terms) > 1
     first = p.to_ext_real(90)
     for digits in (90, 50, 90):
@@ -73,7 +73,7 @@ def test_conversion_cached_per_precision():
 
 
 def test_horner_values_match_fresh_coefficients():
-    a = sine_spline(3).poly
+    a = sine_spline(3)
     b = Poly([fresh_copy(c) for c in a.coefficients], a.variable)
     assert a == b and a is not b
     # a negative coefficient takes the signed-mantissa path
@@ -94,8 +94,8 @@ def test_horner_values_match_fresh_coefficients():
 def test_sine_spline_built_once(n):
     s = sine_spline(n)
     assert sine_spline(n) is s
-    assert isinstance(s.poly.coefficients, tuple)
-    assert s.poly == two_point_spline(sine_endpoint_data(n), n).poly
+    assert isinstance(s.coefficients, tuple)
+    assert s == two_point_spline(sine_endpoint_data(n))
 
 
 @pytest.mark.parametrize("variant,n", (("order1", 9), ("order2", 20)))
@@ -137,11 +137,10 @@ def _value_objects():
         (sine_lower(2), "body"),
         (baseline_catalog()[0].body, "formula"),
         (sine_endpoint_data(2), "alpha"),
-        (sine_spline(2), "poly"),
         (sine_series("order1", 3), "coeffs"),
         (order1_coefficients(3), "coeffs"),
         (sufficiency_check(3), "margins"),
-        (re_bound_scan(sine_lower(1), reference_for("sin"), half_pi_grid(5, 30), 30), "re_bound"),
+        (re_bound_scan(sine_lower(1), reference_for("sin"), half_pi_grid(5, 30)), "re_bound"),
     ]
 
 
@@ -167,9 +166,9 @@ def test_scan_reports_rounds_and_convergence():
     # re ~ 2e-18 needs 56 digits: one escalation from 50, then it holds
     grid = half_pi_grid(40, 50)
     ref = reference_for("sin")
-    rep = re_bound_scan(sine_lower(8), ref, grid, 50)
+    rep = re_bound_scan(sine_lower(8), ref, grid)
     assert (rep.rounds, rep.converged, rep.digits) == (2, True, 56)
-    capped = re_bound_scan(sine_lower(8), ref, grid, 50, max_rounds=1)
+    capped = re_bound_scan(sine_lower(8), ref, grid, max_rounds=1)
     # the digits its values were scanned at, not the next round's 56
     assert (capped.rounds, capped.converged, capped.digits) == (1, False, 50)
 

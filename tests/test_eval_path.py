@@ -250,7 +250,7 @@ def test_table_rows_share_references():
     for row in rows:
         digits = digits_for_bound(row["expected"])
         grid = half_pi_grid(40, digits)
-        rep = re_bound_scan(taylor_sine(row["order"]), reference_for("sin"), grid, digits)
+        rep = re_bound_scan(taylor_sine(row["order"]), reference_for("sin"), grid)
         assert row["computed"] == rep.re_bound, row["order"]
 
 

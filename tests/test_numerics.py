@@ -97,7 +97,7 @@ class TestToExtReal:
     def test_high_order_coefficient_to_its_digits(self):
         from splinebound.spline import sine_spline
 
-        c = sine_spline(20).poly.coeff(22)  # exact value 8.60e-47
+        c = sine_spline(20).coeff(22)  # exact value 8.60e-47
         with mp.workdps(400):
             exact = mp.fsum(
                 mp.mpf(q.numerator) / q.denominator * mp.pi**j for j, q in c.terms.items()
@@ -142,7 +142,7 @@ class TestPoly:
     def test_horner_f1_quarter_pi(self):
         from splinebound.spline import sine_spline
 
-        f1 = sine_spline(1).poly
+        f1 = sine_spline(1)
         with mp.workdps(40):
             x = mp.pi / 4
         v = horner_eval(f1, x, 30)
@@ -154,7 +154,7 @@ class TestPoly:
     def test_horner_matches_exact_expansion(self):
         from splinebound.spline import HALF_PI, sine_spline
 
-        f2 = sine_spline(2).poly
+        f2 = sine_spline(2)
         exact = f2.eval_exact(HALF_PI * Fraction(1, 2))  # x = pi/4
         with mp.workdps(60):
             x = mp.pi / 4
@@ -173,7 +173,7 @@ class TestIntegrateOverLambda:
     def test_f1_gives_h1(self):
         from splinebound.spline import sine_spline
 
-        h1 = integrate_over_lambda(sine_spline(1).poly)
+        h1 = integrate_over_lambda(sine_spline(1))
         c2 = PiRational.pi_term(-2, 6) * (PiRational.one() - PiRational.pi_term(1, 1, 3))
         c3 = PiRational.pi_term(-3, -16, 3) * (
             PiRational.one() - PiRational.pi_term(1, 1, 4)

@@ -6,7 +6,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splinebound.numerics import PiRational, Poly, Var, horner_eval
+from splinebound.numerics import PiRational, Var, horner_eval
 from splinebound.series import (
     ORDER1_SERIES_C1,
     ORDER2_SERIES_HEAD,
@@ -138,7 +138,7 @@ class TestMonomialExpansion:
         build = order1_coefficients if order == 1 else order2_coefficients
         series = build(max_power)
         expanded = series.to_monomials(max_power)
-        spline_in_t = sine_spline(order).poly.substitute_affine(
+        spline_in_t = sine_spline(order).substitute_affine(
             PiRational.zero(), HALF_PI, Var.T_ON_0_1
         )
         for m in range(max_power + 1):
@@ -165,7 +165,7 @@ class TestEvaluation:
         digits = 40
         build = order1_coefficients if order == 1 else order2_coefficients
         series = build(120)
-        spline = sine_spline(order).poly
+        spline = sine_spline(order)
         with mp.workdps(digits + 10):
             worst = mp.mpf(0)
             for i in range(0, 101, 10):

@@ -27,18 +27,18 @@ _SIN_CYCLE = (0, 1, 0, -1)
 class TestSineFixtures:
     @pytest.mark.parametrize("n", sorted(SINE_SPLINES))
     def test_low_order_closed_forms(self, n):
-        assert sine_spline(n).poly == SINE_SPLINES[n]
+        assert sine_spline(n) == SINE_SPLINES[n]
 
     def test_degree(self):
         for n in (0, 1, 2, 3, 4, 7):
-            assert sine_spline(n).poly.degree == 2 * n + 1
+            assert sine_spline(n).degree == 2 * n + 1
 
     @pytest.mark.parametrize("n", (3, 4, 5, 6))
     def test_taylor_prefix(self, n):
         # low-power coefficients lock onto the Maclaurin series of sine:
         # powers below roughly n are exactly 0, 1, 0, -1/6, 0, 1/120, ...
         maclaurin = {1: Fraction(1), 3: Fraction(-1, 6), 5: Fraction(1, 120)}
-        p = sine_spline(n).poly
+        p = sine_spline(n)
         for m in range(n):
             expected = PiRational.from_rational(maclaurin.get(m, Fraction(0)))
             assert p.coeff(m) == expected
@@ -47,7 +47,7 @@ class TestSineFixtures:
 class TestHermiteMatching:
     @pytest.mark.parametrize("n", range(9))
     def test_endpoint_derivatives(self, n):
-        p = sine_spline(n).poly
+        p = sine_spline(n)
         for k in range(n + 1):
             at0 = p.eval_exact(PiRational.zero())
             at_half = p.eval_exact(HALF_PI)
@@ -57,7 +57,7 @@ class TestHermiteMatching:
 
     @pytest.mark.parametrize("n", (12, 16, 24, 32))
     def test_high_order_endpoints_exact(self, n):
-        p = sine_spline(n).poly
+        p = sine_spline(n)
         assert p.eval_exact(PiRational.zero()).is_zero()
         assert p.eval_exact(HALF_PI) == PiRational.one()
 
@@ -69,17 +69,16 @@ class TestHermiteMatching:
                 derivs_alpha=(PiRational.one(),) + (PiRational.zero(),) * n,
                 derivs_beta=(PiRational.one(),) + (PiRational.zero(),) * n,
             )
-            s = two_point_spline(data, n)
-            assert s.poly == Poly([PiRational.one()])
+            assert two_point_spline(data) == Poly([PiRational.one()])
 
 
 class TestCosine:
     @pytest.mark.parametrize("n", sorted(COSINE_SPLINES))
     def test_low_order_closed_forms(self, n):
-        assert cosine_spline(n).poly == COSINE_SPLINES[n]
+        assert cosine_spline(n) == COSINE_SPLINES[n]
 
     def test_reflection_involution(self):
-        p = sine_spline(3).poly
+        p = sine_spline(3)
         assert reflect_half_pi(reflect_half_pi(p)) == p
 
     @pytest.mark.parametrize("n", range(1, 6))
@@ -96,10 +95,10 @@ class TestCosine:
                 PiRational.from_rational(_SIN_CYCLE[(k + 2) % 4]) for k in range(n + 1)
             ),
         )
-        assert two_point_spline(data, n).poly == cosine_spline(n).poly
+        assert two_point_spline(data) == cosine_spline(n)
 
     def test_value_tracks_cosine(self):
-        g4 = cosine_spline(4).poly
+        g4 = cosine_spline(4)
         with mp.workdps(50):
             x = mp.pi / 6
         v = horner_eval(g4, x, 40)
@@ -115,9 +114,14 @@ class TestValidation:
             cosine_spline(-2)
 
     def test_wrong_derivative_count(self):
-        data = sine_endpoint_data(2)
-        with pytest.raises(ValueError):
-            two_point_spline(data, 3)
+        data = sine_endpoint_data(2)._replace(derivs_beta=sine_endpoint_data(3).derivs_beta)
+        with pytest.raises(ValueError, match="same nonempty list"):
+            two_point_spline(data)
+
+    def test_empty_derivative_lists(self):
+        data = sine_endpoint_data(0)._replace(derivs_alpha=(), derivs_beta=())
+        with pytest.raises(ValueError, match="same nonempty list"):
+            two_point_spline(data)
 
     def test_degenerate_interval(self):
         data = EndpointData(
@@ -127,7 +131,7 @@ class TestValidation:
             derivs_beta=(PiRational.one(),),
         )
         with pytest.raises(ValueError):
-            two_point_spline(data, 0)
+            two_point_spline(data)
 
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=12)
@@ -185,7 +189,7 @@ class TestInterpolationProperty:
             derivs_alpha=tuple(derivs_alpha),
             derivs_beta=tuple(derivs_beta),
         )
-        assert two_point_spline(data, n).poly == p
+        assert two_point_spline(data) == p
 
 
 # -- term order -------------------------------------------------------------
@@ -236,7 +240,7 @@ class TestTermOrder:
     @pytest.mark.parametrize("n", [*range(17), 24, 32])
     def test_sine_spline(self, n):
         ref = ref_two_point_spline(sine_endpoint_data(n), n)
-        assert term_items(sine_spline(n).poly) == term_items(ref)
+        assert term_items(sine_spline(n)) == term_items(ref)
 
     @pytest.mark.parametrize("n", range(13))
     def test_reflected_bounds(self, n):
@@ -253,7 +257,7 @@ class TestTermOrder:
             HALF_PI,
             PiRational.from_rational(-1),
         )
-        assert term_items(cosine_spline(n).poly) == term_items(ref)
+        assert term_items(cosine_spline(n)) == term_items(ref)
 
     @given(
         coeffs=st.lists(multi_term, min_size=2, max_size=6),
@@ -312,15 +316,13 @@ class TestTermOrder:
     @given(data=generic_endpoint_data())
     @settings(max_examples=40, deadline=None)
     def test_generic_endpoint_data(self, data):
-        n = data.order()
-        assert term_items(two_point_spline(data, n).poly) == term_items(
-            ref_two_point_spline(data, n)
-        )
+        n = len(data.derivs_alpha) - 1
+        assert term_items(two_point_spline(data)) == term_items(ref_two_point_spline(data, n))
 
     @given(data=generic_endpoint_data())
     @settings(max_examples=20, deadline=None)
     def test_generic_endpoint_data_interpolates(self, data):
-        p = two_point_spline(data, data.order()).poly
+        p = two_point_spline(data)
         for fa, fb in zip(data.derivs_alpha, data.derivs_beta):
             assert p.eval_exact(data.alpha) == fa
             assert p.eval_exact(data.beta) == fb
