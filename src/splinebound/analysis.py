@@ -91,11 +91,11 @@ class RelErrReport(NamedTuple):
 # an entry costs about 640 B, so the memo stays under 3 MB.
 @lru_cache(maxsize=4096)
 def _si_value(x, digits: int) -> mp.mpf:
-    """Si(x) to `digits` digits, summed once per (x, digits) and shared by
-    every bound, table and figure that asks for it.
+    """Si(x) to `digits` digits, computed once per (x, digits) and shared
+    by every bound, table and figure that asks for it.
 
-    Keyed by the mpf value of x; the series sets its own working precision,
-    so the value depends on nothing else.
+    Keyed by the mpf value of x; `si_reference` sets its own working
+    precision, so the value depends on nothing else.
     """
     return si_reference(x, digits)
 
@@ -112,8 +112,8 @@ def _sinc_from(sin):
 def reference_for(target: str):
     """Reference evaluator f(x) at working digits, by target name.
 
-    sin, cos and sinc are evaluated at the caller's working precision; the
-    Si series is costlier, and its values are memoised.
+    sin, cos and sinc are evaluated at the caller's working precision; Si
+    values are memoised per (x, digits), shared by every Si bound.
     """
     if target == "sin":
         return _sin

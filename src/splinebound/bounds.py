@@ -8,14 +8,13 @@ catalog of published baseline inequalities used for comparison.
 from __future__ import annotations
 
 from functools import cache, cached_property, lru_cache
-from math import factorial, floor, lgamma, log
+from math import factorial
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Union
 
 import mpmath as mp
-from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
-from .numerics import PiRational, Poly, _round, horner_eval, horner_values, pow_rounded
+from .numerics import PiRational, Poly, horner_eval, horner_values
 from .series import order1_coefficients, order2_coefficients
 from .spline import reflect_half_pi, sine_spline
 
@@ -181,115 +180,28 @@ def si_lower(n: int) -> BoundFn:
     return BoundFn("spline", n, "lower", "si", integrate_over_lambda(sine_spline(n)))
 
 
-# Largest x `si_reference` sums the series at: x = 1000 takes about 0.3 s
-# at 30 digits, and the cost grows faster than x^2.  It also bounds the term
-# count, and with it the `_si_divisor` and `_set_bits` memos: about 2,300
-# entries each at x = 1000 and 1000 digits.
+# Largest x `si_reference` accepts: the domain its tests check against an
+# independent series oracle.
 SI_MAX_X = 1000
 
 
 def si_reference(x, digits: int) -> mp.mpf:
-    """Si(x) at finite mpf x in [0, SI_MAX_X] by its alternating power
-    series, correct to `digits` digits and rounded to digits + 10; a larger
-    x raises ValueError.
+    """Si(x) at finite mpf x in [0, SI_MAX_X], correct to `digits` digits
+    and rounded to digits + 10; a larger x raises ValueError.
 
-    Truncated when the next term drops below 10^(-digits-5); the alternating
-    remainder bound then guarantees the stated accuracy.  The sum runs at
-    digits + 15 working digits, plus the decimal exponent of its largest
-    term, which is the most the terms can cancel by; that adds nothing while
-    every term is below 10 (x < 5 at least), and it grows with x, as does
-    the number of terms, so the cost grows with x.
-
-    Each term's magnitude x^n/(n n!), n = 2k+1, is added with sign (-1)^k,
-    with the roundings of the mpf operators at the working precision: the
-    power as mpf_pow_int gives it, the quotient and each sum to nearest,
-    ties to even.  The loop runs on integer mantissas: the power copies
-    mpf_pow_int (`pow_rounded`, one chain of squares per x), and a
-    correctly rounded value of the exact quotient or sum is unique, so each
-    step gives the bits of the mpf operators.
+    x is rounded to digits + 15 digits on entry, and mpmath's `si` is
+    evaluated there at digits + 10 working digits.
     """
     with mp.workdps(digits + 15):
         xv = mp.mpf(x)
     if xv < 0:
         raise ValueError("Si reference is defined for x >= 0 here")
-    _, xm, xe, _ = xv._mpf_
-    if not xm and xe:
+    if not mp.isfinite(xv):
         raise ValueError(f"Si reference needs a finite x, got {x}")
     if xv > SI_MAX_X:
         raise ValueError(f"Si reference needs x <= SI_MAX_X = {SI_MAX_X}, got {mp.nstr(xv, 8)}")
-    guard = _si_cancellation(xv)
-    if guard:
-        with mp.workdps(digits + 15 + guard):
-            _, xm, xe, _ = mp.mpf(x)._mpf_
-    tm, te = _si_sum(xm, xe, digits, dps_to_prec(digits + 15 + guard))
-    return mp.make_mpf(from_man_exp(tm, te, dps_to_prec(digits + 10), round_nearest))
-
-
-def _si_sum(xm: int, xe: int, digits: int, wp: int) -> tuple:
-    """The sum of `si_reference` at x = xm * 2**xe >= 0 before its final
-    rounding: a signed (mantissa, exponent) pair of at most wp + 1 bits."""
-    if not xm:
-        return 0, 0
-    cm, ce = _si_cutoff(digits)
-    ctop = ce + cm.bit_length()
-    chains = {}
-    tm, te = xm, xe  # the sum so far: the first term, x
-    n = 1
-    while True:
-        n += 2
-        pm, pe = pow_rounded(xm, xe, n, wp, chains)
-        dm, de = _si_divisor(n)
-        # the quotient as mpf_div forms it: enough bits below the rounding
-        # bit, then a sticky bit for a nonzero remainder
-        shift = wp - pm.bit_length() + dm.bit_length() + 5
-        qm, rem = divmod(pm << shift, dm)
-        if rem:
-            qm, shift = qm << 1 | 1, shift + 1
-        qm, qe = _round(qm, pe - de - shift, wp)
-        top = qe + qm.bit_length()
-        if top < ctop or top == ctop and (
-            qm << (qe - ce) < cm if qe >= ce else qm < cm << (ce - qe)
-        ):
-            break
-        if n & 2:
-            qm = -qm
-        if not tm:
-            tm, te = qm, qe
-        elif te >= qe:
-            tm, te = _round((tm << (te - qe)) + qm, qe, wp)
-        else:
-            tm, te = _round(tm + (qm << (qe - te)), te, wp)
-    return tm, te
-
-
-def _si_cancellation(xv) -> int:
-    """The decimal exponent of the largest term x^n/(n n!) of the Si
-    series at x >= 0, or 0 while every term is below 10."""
-    x = float(xv)
-    if x < 5:  # every term is then below 125/18, the largest at x = 5
-        return 0
-    top = floor(x)
-    largest = max(
-        n * log(x) - log(n) - lgamma(n + 1) for n in range(max(1, top - 5) | 1, top + 3, 2)
-    )
-    return max(0, floor(largest / log(10)))
-
-
-@cache
-def _si_cutoff(digits: int) -> tuple:
-    """10^(-digits-5), the Si series' truncation threshold, at digits + 15
-    working digits, as an unsigned (mantissa, exponent) pair."""
-    with mp.workdps(digits + 15):
-        _, man, exp, _ = (mp.mpf(10) ** (-digits - 5))._mpf_
-    return man, exp
-
-
-@cache
-def _si_divisor(n: int) -> tuple:
-    """n * n! as an odd mantissa and a power of two."""
-    d = n * factorial(n)
-    zeros = (d & -d).bit_length() - 1
-    return d >> zeros, zeros
+    with mp.workdps(digits + 10):
+        return mp.si(xv)
 
 
 # -- Taylor reference ------------------------------------------------------

@@ -51,21 +51,28 @@ def _hermite_basis(n: int) -> tuple[list[list[int]], list[list[int]]]:
 
         alpha:  (1-u)^(n+1) * u^k     * sum_{i<=n-k} C(n+i,i) u^i
         beta:   u^(n+1)     * (1-u)^k * sum_{i<=n-k} C(n+i,i) (1-u)^i
+
+    Built in O(n^2): beta_0 = 1 - alpha_0 (the spline of f = 1), then
+    alpha_k = u alpha_(k-1) - c_k w and beta_k = (1-u) beta_(k-1) - c_k w,
+    with c_k = C(2n+1-k, n+1-k) and w = u^(n+1) (1-u)^(n+1).
     """
-    rows = [[(-1) ** r * comb(m, r) for r in range(m + 1)] for m in range(n + 2)]
-    alpha, beta = [], []
-    for k in range(n + 1):
-        a = [0] * (2 * n + 2)
-        b = [0] * (2 * n + 2)
-        for i in range(n - k + 1):
-            c = comb(n + i, i)
-            for r, v in enumerate(rows[n + 1]):
-                a[k + i + r] += c * v
-            for r, v in enumerate(rows[k + i]):
-                b[n + 1 + r] += c * v
+    size = 2 * n + 3  # w and the shifted rows reach u^(2n+2), which cancels
+    w = [0] * (n + 1) + [(-1) ** r * comb(n + 1, r) for r in range(n + 2)]
+    a = [0] * size
+    for i in range(n + 1):
+        c = comb(n + i, i)
+        for r in range(n + 2):
+            a[i + r] += c * w[n + 1 + r]
+    b = [-v for v in a]
+    b[0] += 1
+    alpha, beta = [a], [b]
+    for k in range(1, n + 1):
+        c = comb(2 * n + 1 - k, n + 1 - k)
+        a = [p - c * q for p, q in zip([0] + a[:-1], w)]
+        b = [p - s - c * q for p, s, q in zip(b, [0] + b[:-1], w)]
         alpha.append(a)
         beta.append(b)
-    return alpha, beta
+    return [a[:-1] for a in alpha], [b[:-1] for b in beta]
 
 
 def two_point_spline(data: EndpointData) -> Poly:

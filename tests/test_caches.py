@@ -3,24 +3,22 @@
 Exact coefficients are converted once per precision, and Horner reads
 each `Poly`'s coefficients through those conversions; `sine_spline` and
 the bound builders are built once per order, the cosine reflection once
-per exact value, a figure's sin column is shared by its
-curves, a table's rows share its grid points, the Si reference is
-memoised per (x, digits), `si_reference` computes each term once, on
-integer mantissas with the bits of a former mpf loop kept here, and each
-Zhu bound computes its constants once per precision.  Figures 1 and 2 share each point's values between their curves
-within one call, at that call's precision, and keep none of them after it.
-Each test compares `_mpf_` tuples (or ==) against a fresh computation or a
-reference kept here.
+per exact value, a figure's sin column is shared by its curves, a table's
+rows share its grid points, the Si reference is memoised per (x, digits),
+and each Zhu bound computes its constants once per precision.  Figures 1
+and 2 share each point's values between their curves within one call, at
+that call's precision, and keep none of them after it.  Each test compares
+`_mpf_` tuples (or ==) against a fresh computation or a reference kept
+here, except the Si reference itself, mpmath's `si`, which is checked in
+value against a plain mpf series kept here.
 """
 
 import sys
 from fractions import Fraction
-from math import factorial
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.libmp import from_man_exp
 
 from splinebound.analysis import (
     Grid,
@@ -34,8 +32,8 @@ from splinebound.analysis import (
     reproduce_table,
 )
 from splinebound.bounds import (
+    SI_MAX_X,
     BoundFn,
-    _si_sum,
     baseline_catalog,
     reflect_to_cos,
     si_lower,
@@ -229,73 +227,52 @@ def test_si_memo_is_bounded():
     assert maxsize is not None and maxsize > 0
 
 
-def si_reference_two_powers(xv, digits):
-    # the former loop: every term's power computed twice, once signed
-    with mp.workdps(digits + 15):
-        xv = mp.mpf(xv)
-        cutoff = mp.mpf(10) ** (-digits - 5)
+def si_series(x, digits):
+    """Si(x) at x >= 0 by its plain mpf power series, sum of (-1)^k
+    x^n/(n n!) over n = 2k+1: an oracle that shares no code with mpmath's
+    `si`.  It runs at 2 * digits + 20 working digits plus the decimal
+    exponent of e^x, which bounds every term and so the digits they can
+    cancel by, and stops below a term of 10^(-2 digits - 10) min(x, 1);
+    Si(x) > min(x, 1)/2 for x > 0, so its relative error is far below
+    10^(-2 digits)."""
+    guard = int(float(x) / 2.302585092994046) + 1
+    with mp.workdps(2 * digits + 20 + guard):
+        xv = +mp.mpf(x)
+        cutoff = mp.mpf(10) ** (-2 * digits - 10) * min(xv, 1)
+        x2 = xv * xv
         total = mp.mpf(0)
-        k = 0
-        while True:
-            term = (-1) ** k * xv ** (2 * k + 1) / ((2 * k + 1) * factorial(2 * k + 1))
-            total += term
-            k += 1
-            nxt = xv ** (2 * k + 1) / ((2 * k + 1) * factorial(2 * k + 1))
-            if nxt < cutoff:
-                break
-    with mp.workdps(digits + 10):  # rounded to digits + 10
-        return +total
+        mag, n = xv, 1  # x^n/(n n!)
+        while mag and mag >= cutoff:
+            total += -mag if n & 2 else mag
+            mag = mag * x2 * n / ((n + 2) ** 2 * (n + 1))
+            n += 2
+    return total
+
+
+def assert_si_matches_series(x, digits):
+    """si_reference at x is within 10^(-digits-5) of the series, relative."""
+    got, want = si_reference(x, digits), si_series(x, digits)
+    with mp.workdps(2 * digits + 20):
+        assert abs(got - want) <= abs(want) * mp.mpf(10) ** (-digits - 5), (x, digits)
 
 
 @pytest.mark.parametrize("digits", (50, 68, 90))
 def test_si_reference_matches_two_power_loop(digits):
     for xv in half_pi_grid(41, digits).points(digits):
-        got = si_reference(xv, digits)
-        assert got._mpf_ == si_reference_two_powers(xv, digits)._mpf_
+        assert_si_matches_series(xv, digits)
 
 
-def si_sum_mpf(x, digits):
-    # the former loop on mpf values, each term's power computed once; its
-    # sum at the working precision, before the final rounding
-    with mp.workdps(digits + 15):
-        xv = mp.mpf(x)
-        if xv < 0:
-            raise ValueError("Si reference is defined for x >= 0 here")
-        cutoff = mp.mpf(10) ** (-digits - 5)
-        total = mp.mpf(0)
-        k = 0
-        mag = xv  # x^1 / (1 * 1!)
-        while True:
-            total += -mag if k % 2 else mag
-            k += 1
-            mag = xv ** (2 * k + 1) / ((2 * k + 1) * factorial(2 * k + 1))
-            if mag < cutoff:
-                break
-    return total
-
-
-def si_reference_mpf(x, digits):
-    total = si_sum_mpf(x, digits)
-    with mp.workdps(digits + 10):
-        return +total
-
-
-def assert_si_kernel_matches(x, digits):
-    """si_reference at x equals the former loop, and so does its sum at
-    the working precision, where a term one unit off would show."""
-    assert si_reference(x, digits)._mpf_ == si_reference_mpf(x, digits)._mpf_, x
-    with mp.workdps(digits + 15):
-        _, xm, xe, _ = mp.mpf(x)._mpf_
-        wp = mp.mp.prec
-    got = mp.make_mpf(from_man_exp(*_si_sum(xm, xe, digits, wp)))
-    assert got._mpf_ == si_sum_mpf(x, digits)._mpf_, x
+@pytest.mark.parametrize("digits", (50, 120, 220))
+def test_si_reference_on_paper_grid(digits):
+    # the grid of table 5.2 and figure 8
+    for xv in half_pi_grid(1000, digits).points(digits):
+        assert_si_matches_series(xv, digits)
 
 
 def si_points(digits):
-    """0, 2^-200, powers of two, 1/3, pi/2, 7/4 and 3 at the working
-    precision, digits + 15, then pi/2 and 1/3 held 40 digits wider.  Every
-    term of the series at these points is below 10, so the working
-    precision is digits + 15 at each."""
+    """0, 2^-200, powers of two, 1/3, pi/2, 7/4 and 3 at digits + 15
+    digits, where `si_reference` rounds x on entry, then pi/2 and 1/3 held
+    40 digits wider."""
     with mp.workdps(digits + 55):
         wide = [mp.pi / 2, mp.mpf(1) / 3]
     with mp.workdps(digits + 15):
@@ -306,18 +283,24 @@ def si_points(digits):
 @pytest.mark.parametrize("digits", (1, 2, 9, 30, 50, 58, 90, 151, 220))
 def test_si_kernel_matches_mpf_loop(digits):
     for x in si_points(digits):
-        assert_si_kernel_matches(x, digits)
+        assert_si_matches_series(x, digits)
 
 
 @given(st.integers(1, 220), st.lists(st.floats(0, 4.99), min_size=1, max_size=4), st.integers(0, 40))
 @settings(max_examples=100, deadline=None)
 def test_si_kernel_matches_mpf_loop_at_random_points(digits, xs, wider):
-    # points given with up to 40 more digits than the working precision,
-    # which both round on entry
+    # points given with up to 40 more digits than si_reference keeps
     with mp.workdps(digits + 15 + wider):
         xs = [mp.mpf(x) * (1 + mp.pi / 10**12) for x in xs]
     for x in xs:
-        assert_si_kernel_matches(x, digits)
+        assert_si_matches_series(x, digits)
+
+
+@given(st.integers(1, 220), st.floats(0, SI_MAX_X))
+@settings(max_examples=100, deadline=None)
+def test_si_reference_on_its_domain(digits, x):
+    # x up to SI_MAX_X, where the terms cancel by up to 430 digits
+    assert_si_matches_series(mp.mpf(x), digits)
 
 
 def test_table_rows_share_grid_points(monkeypatch):

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, exit codes."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -113,6 +114,23 @@ class TestTable:
         )
         assert code == EXIT_OK
         assert out.splitlines()[0].startswith("table,order")
+
+    @pytest.mark.parametrize("fmt", ("json", "csv", "text"))
+    def test_unstated_published_value(self, capsys, fmt):
+        # row 1's second-order cell is the one value the source does not
+        # state: it prints empty, and the row still passes
+        code, out, _ = run_cli(capsys, "--samples", "100", "--format", fmt, "table", "5.1")
+        assert code == EXIT_OK
+        if fmt == "text":
+            first = out.splitlines()[0]
+            assert first.startswith("table 5.1 row 1: ") and first.endswith("  pass")
+            assert "  computed_second=  expected_second=not stated in source table  " in first
+            return
+        rows = json.loads(out) if fmt == "json" else list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 9 and rows[0]["terms"] == "1" and rows[0]["pass"] == "True"
+        assert rows[0]["computed_second"] == ""
+        assert rows[0]["expected_second"] == "not stated in source table"
+        assert all(r["computed_second"] != "" for r in rows[1:])
 
 
 class TestFigure:

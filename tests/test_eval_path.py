@@ -13,7 +13,6 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath.libmp import from_man_exp, mpf_pow_int, round_nearest
 
 from splinebound.analysis import (
     figure_data,
@@ -42,7 +41,6 @@ from splinebound.numerics import (
     digits_for_bound,
     horner_eval,
     horner_values,
-    pow_rounded,
 )
 from splinebound.series import sine_series, sine_series_eval
 
@@ -338,60 +336,6 @@ def test_horner_far_apart_exponents(digits):
     with mp.workdps(digits + 10):
         xs = [mp.mpf("1e-5000"), -mp.mpf("3e-900"), mp.mpf("1e900"), -mp.mpf("7e4000")]
     assert horner_values(poly, xs, digits) == [ref_horner(poly, x, digits) for x in xs]
-
-
-@st.composite
-def powers(draw):
-    """(x, [(n, prec)]): an `_mpf_` x > 0 with a mantissa of 1-700 bits,
-    often exactly 1, and the powers to take of it at each precision."""
-    bits = draw(st.integers(1, 700))
-    man = draw(
-        st.one_of(
-            st.just(1),
-            st.integers(2 ** (bits - 1), 2**bits - 1),
-            # sparse mantissas put powers near rounding ties
-            st.builds(lambda a, b: 2**a + 2**b + 1, st.integers(2, 300), st.integers(1, 300)),
-        )
-    )
-    x = from_man_exp(man, draw(st.integers(-3000, 3000)))
-    # small n and mantissas take the exact path (bits * n < 1000), the
-    # others the ladder; precisions repeat, so powers share chains
-    n = st.one_of(st.integers(0, 8), st.integers(0, 200))
-    prec = st.one_of(st.sampled_from([4, 53, 219]), st.integers(4, 800))
-    return x, draw(st.lists(st.tuples(n, prec), min_size=1, max_size=6))
-
-
-@given(powers())
-@settings(max_examples=300, deadline=None)
-def test_pow_rounded_matches_mpf_pow_int(case):
-    # the copy of mpf_pow_int's ladder against the installed mpmath, whose
-    # ladder a new release could change
-    x, calls = case
-    _, man, exp, _ = x
-    chains = {}  # one per x, as si_reference keeps it
-    for n, prec in calls:
-        got = from_man_exp(*pow_rounded(man, exp, n, prec, chains))
-        assert got == mpf_pow_int(x, n, prec, round_nearest), (n, prec)
-
-
-@pytest.mark.parametrize(
-    "man, n, prec",
-    [
-        (2**126 + 2**30 + 1, 16, 314),
-        (2**53 + 1, 74, 211),
-        (2**55 + 1, 191, 110),
-        (2**52 + 1, 138, 104),
-        (2**57 + 1, 68, 279),
-    ],
-)
-def test_pow_rounded_near_ties(man, n, prec):
-    # each power lies so near a rounding tie that the ladder's truncations
-    # decide its last bit: the correctly rounded power (first, third and
-    # fifth case) or a ladder one bit narrower (second and fourth) or wider
-    # (first and third) gives other bits
-    x = from_man_exp(man, -3)
-    got = from_man_exp(*pow_rounded(x[1], x[2], n, prec, {}))
-    assert got == mpf_pow_int(x, n, prec, round_nearest)
 
 
 def ref_relative_error(bound, x, digits):

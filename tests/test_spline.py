@@ -12,6 +12,7 @@ from splinebound.numerics import PiRational, Poly, Var, horner_eval
 from splinebound.spline import (
     HALF_PI,
     EndpointData,
+    _hermite_basis,
     cosine_spline,
     reflect_half_pi,
     sine_endpoint_data,
@@ -70,6 +71,23 @@ class TestHermiteMatching:
                 derivs_beta=(PiRational.one(),) + (PiRational.zero(),) * n,
             )
             assert two_point_spline(data) == Poly([PiRational.one()])
+
+    def test_basis_rows_match_direct_formula(self):
+        # each endpoint polynomial summed from its definition, in O(n^3)
+        for n in range(65):
+            rows = [[(-1) ** r * comb(m, r) for r in range(m + 1)] for m in range(n + 2)]
+            alpha, beta = [], []
+            for k in range(n + 1):
+                a, b = [0] * (2 * n + 2), [0] * (2 * n + 2)
+                for i in range(n - k + 1):
+                    c = comb(n + i, i)
+                    for r, v in enumerate(rows[n + 1]):
+                        a[k + i + r] += c * v
+                    for r, v in enumerate(rows[k + i]):
+                        b[n + 1 + r] += c * v
+                alpha.append(a)
+                beta.append(b)
+            assert _hermite_basis(n) == (alpha, beta), n
 
 
 class TestCosine:
